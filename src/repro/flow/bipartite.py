@@ -23,56 +23,45 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import GraphError
 from repro.network.graph import Network
-from repro.network.incremental import StreamCursor, StreamPool
+from repro.network.incremental import (
+    INF,
+    NearestFacilityStream,
+    StreamCursor,
+    StreamPool,
+)
+from repro.network.oracle import FacilityStream
 from repro.obs import metrics
+from repro.runtime.budget import checkpoint as _budget_checkpoint
 
 _MATERIALIZE_COUNTERS = metrics.CounterBlock("incremental.edges_materialized")
 
 
-class _FilteredCursor:
+class _FilteredCursor(StreamCursor):
     """A stream cursor restricted to a subset of facility nodes.
 
     WMA's final phase assigns customers onto the *selected* facilities
     while reusing the exploration phase's stream pool (which streams
-    towards the full candidate set).  This wrapper skips facilities
+    towards the full candidate set).  This cursor skips facilities
     outside the subset; skipping only advances this customer's private
-    rank, so shared streams are unaffected.
+    rank, so shared streams are unaffected.  :meth:`peek_lower_bound`
+    is inherited unfiltered: a disallowed facility at the frontier is no
+    farther than the next allowed one, so it still bounds from below.
     """
 
-    def __init__(self, cursor: StreamCursor, allowed: frozenset[int]) -> None:
-        self._cursor = cursor
+    def __init__(
+        self,
+        stream: NearestFacilityStream | FacilityStream,
+        allowed: frozenset[int],
+    ) -> None:
+        super().__init__(stream)
         self._allowed = allowed
 
     def peek(self) -> tuple[int, float] | None:
-        while True:
-            item = self._cursor.peek()  # reprolint: disable=REP112 -- amortized O(1): the underlying stream advances monotonically
-            if item is None or item[0] in self._allowed:
-                return item
-            self._cursor.take()  # reprolint: disable=REP112 -- amortized O(1): each stream item is taken exactly once
+        return self.peek_in(self._allowed)
 
     def peek_distance(self) -> float:
         item = self.peek()
-        return item[1] if item is not None else float("inf")
-
-    @property
-    def rank(self) -> int:
-        """Underlying stream position (skipped facilities included)."""
-        return self._cursor.rank
-
-    def seek(self, rank: int) -> None:
-        """Reposition the underlying cursor (see :meth:`StreamCursor.seek`)."""
-        self._cursor.seek(rank)
-
-    def peek_lower_bound(self) -> float | None:
-        # Disallowed facilities at the frontier are nearer than the next
-        # allowed one, so the unfiltered bound still bounds from below.
-        return self._cursor.peek_lower_bound()
-
-    def take(self) -> tuple[int, float] | None:
-        item = self.peek()
-        if item is not None:
-            self._cursor.take()
-        return item
+        return item[1] if item is not None else INF
 
 
 class BipartiteState:
@@ -128,9 +117,7 @@ class BipartiteState:
         # pool is shared; cursors filter down to the local candidate set.
         self._needs_filter = len(pool.facility_nodes) != self.l
         self._allowed_nodes = frozenset(self.facility_nodes)
-        self._cursors: list[StreamCursor | _FilteredCursor | None] = (
-            [None] * self.m
-        )
+        self._cursors: list[StreamCursor | None] = [None] * self.m
 
         # edges[i]: facility index -> true network distance.
         self.edges: list[dict[int, float]] = [{} for _ in range(self.m)]
@@ -149,13 +136,17 @@ class BipartiteState:
     # ------------------------------------------------------------------
     # Cursors and edge materialization
     # ------------------------------------------------------------------
-    def cursor(self, i: int) -> StreamCursor | _FilteredCursor:
+    def cursor(self, i: int) -> StreamCursor:
         """The nearest-facility cursor of customer ``i``."""
         cur = self._cursors[i]
         if cur is None:
-            cur = self.pool.cursor_for(self.customer_nodes[i])
+            node = self.customer_nodes[i]
             if self._needs_filter:
-                cur = _FilteredCursor(cur, self._allowed_nodes)
+                cur = _FilteredCursor(
+                    self.pool.stream_for(node), self._allowed_nodes
+                )
+            else:
+                cur = self.pool.cursor_for(node)
             self._cursors[i] = cur
         return cur
 
@@ -163,20 +154,14 @@ class BipartiteState:
         """``nnDist`` of Algorithm 2: distance of the next unrevealed facility."""
         return self.cursor(i).peek_distance()
 
-    def next_candidate_lower_bound(self, i: int) -> float | None:
+    def next_candidate_lower_bound(self, i: int) -> float:
         """A cheap lower bound on :meth:`next_candidate_distance`.
 
-        ``None`` when the underlying stream offers no bound without
-        resuming its search (the kernel path); see the SSPA fast path in
-        :mod:`repro.flow.sspa`.  Never materializes an edge or advances
-        a stream.
+        Every stream kind answers from its paused heap (kernel Dijkstra,
+        ALT or CH refine heap), so this never materializes an edge or
+        advances a stream; see the SSPA stop in :mod:`repro.flow.sspa`.
         """
         return self.cursor(i).peek_lower_bound()
-
-    @property
-    def has_cheap_bounds(self) -> bool:
-        """Whether the stream pool serves oracle-backed lower bounds."""
-        return self.pool.has_oracle
 
     def materialize_next(self, i: int) -> int | None:
         """Reveal customer ``i``'s next-nearest facility as a ``G_b`` edge.

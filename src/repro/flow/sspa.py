@@ -160,6 +160,7 @@ def _stop_bound(  # reprolint: disable=REP101
     state: BipartiteState,
     dist: dict[int, float],
     settled: Sequence[int],
+    sp_len: float,
     rule: ThresholdRule,
 ) -> tuple[float, int | None]:
     """Compute the edge-reveal threshold and its arg-min customer.
@@ -167,8 +168,19 @@ def _stop_bound(  # reprolint: disable=REP101
     Returns ``(bound, best_customer)``: ``sp_len <= bound`` certifies the
     current shortest path is optimal in the complete bipartite graph;
     ``best_customer`` is the settled customer whose next edge should be
-    revealed otherwise (``None`` when every settled customer's stream is
-    exhausted).
+    revealed otherwise (``None`` when no settled customer has a next
+    edge that could undercut ``sp_len``).
+
+    Under ``THEOREM1`` each settled customer's term is first computed
+    from :meth:`BipartiteState.next_candidate_lower_bound`, which every
+    stream kind answers from its paused heap without advancing.  Only a
+    customer whose bounded term is below both ``sp_len`` (less
+    ``_EPS``) and the best exact term so far pays an exact ``nnDist``
+    peek, which may resume its stream: any other customer's exact term
+    can neither block the stop nor be the strict arg-min.  The stop
+    decision and ``best_customer`` are thus the exact rule's, while
+    ``bound`` covers only the peeked customers.  A stop that needed no
+    peek at all is counted under ``oracle.prunes``.
     """
     m = state.m
     cust_p = state.customer_potential
@@ -176,8 +188,18 @@ def _stop_bound(  # reprolint: disable=REP101
     best_customer: int | None = None
 
     if rule is ThresholdRule.THEOREM1:
+        certified = sp_len != INF
         for u in settled:
             if u >= m:
+                continue
+            nn_lb = state.next_candidate_lower_bound(u)
+            if nn_lb == INF:
+                continue
+            t_lb = dist[u] + nn_lb - cust_p[u]
+            if sp_len <= t_lb + _EPS:
+                continue
+            certified = False
+            if t_lb >= best:
                 continue
             nn = state.next_candidate_distance(u)
             if nn == INF:
@@ -186,6 +208,9 @@ def _stop_bound(  # reprolint: disable=REP101
             if t < best:
                 best = t
                 best_customer = u
+        if certified:
+            (c_prunes,) = _PRUNE_COUNTERS.get()
+            c_prunes.add()
         return best, best_customer
 
     # TAU_PRIME: min {dist + nn} - max potential over settled customers.
@@ -205,40 +230,6 @@ def _stop_bound(  # reprolint: disable=REP101
     if best_customer is None:
         return INF, None
     return raw_best - tau_max, best_customer
-
-
-# O(settled) scan immediately following the checkpointed residual Dijkstra.
-def _stop_bound_lb(  # reprolint: disable=REP101
-    state: BipartiteState,
-    dist: dict[int, float],
-    settled: Sequence[int],
-) -> float | None:
-    """Oracle-backed lower bound on the Theorem-1 reveal threshold.
-
-    Uses :meth:`BipartiteState.next_candidate_lower_bound` instead of
-    the exact ``nnDist`` peek, so no stream advances and no ALT queries
-    run.  The result never exceeds the exact ``_stop_bound`` value
-    (each per-customer term is bounded from below), so
-    ``sp_len <= lb + eps`` certifies the exact rule would stop too --
-    reveal decisions, and hence objectives, are identical.  Returns
-    ``None`` when any settled customer's stream offers no cheap bound
-    (the kernel path), disabling the fast path entirely.
-    """
-    m = state.m
-    cust_p = state.customer_potential
-    best = INF
-    for u in settled:
-        if u >= m:
-            continue
-        nn_lb = state.next_candidate_lower_bound(u)
-        if nn_lb is None:
-            return None
-        if nn_lb == INF:
-            continue
-        t = dist[u] + nn_lb - cust_p[u]
-        if t < best:
-            best = t
-    return best
 
 
 def find_pair(
@@ -264,23 +255,11 @@ def find_pair(
     _budget_checkpoint()
     m = state.m
 
-    use_fast_path = (
-        rule is ThresholdRule.THEOREM1 and state.has_cheap_bounds
-    )
     while True:
         dist, parent, settled, target, sp_len = _residual_dijkstra(  # reprolint: disable=REP112 -- SSPA core: one residual Dijkstra per augmentation; Theorem 1 bounds the count
             state, customer
         )
-        if target is not None and use_fast_path:
-            lb_bound = _stop_bound_lb(state, dist, settled)  # reprolint: disable=REP112 -- O(settled) bound refresh per augmentation, dominated by the Dijkstra it prunes
-            if lb_bound is not None and sp_len <= lb_bound + _EPS:
-                # The exact threshold is at least lb_bound, so the exact
-                # rule would stop here too -- skip its nnDist peeks
-                # (each a potential ALT query) entirely.
-                (c_prunes,) = _PRUNE_COUNTERS.get()
-                c_prunes.add()
-                break
-        bound, best_customer = _stop_bound(state, dist, settled, rule)  # reprolint: disable=REP112 -- O(settled) stop-bound per augmentation, dominated by the Dijkstra it prunes
+        bound, best_customer = _stop_bound(state, dist, settled, sp_len, rule)  # reprolint: disable=REP112 -- O(settled) stop-bound per augmentation, dominated by the Dijkstra it prunes
 
         if target is not None and sp_len <= bound + _EPS:
             break

@@ -1111,7 +1111,7 @@ class CHFacilityStream:
         # best*(1 - eps) under-estimates the re-folded exact value by
         # more than any association error, so every unemitted facility's
         # exact distance stays >= its key (the stream-order invariant,
-        # and what SSPA's fast path consumes via frontier_lower_bound).
+        # and what SSPA's stop consumes via frontier_lower_bound).
         heap: list[tuple[float, int, int]] = []
         for j, f in enumerate(facilities):
             if best[j] != INF:
@@ -1172,8 +1172,21 @@ class CHFacilityStream:
                 result = lr
         return result
 
-    def _advance(self) -> None:
-        """Refine until one more facility is emitted or none remain."""
+    def resume_until(self, allowed: frozenset[int]) -> tuple[int, float] | None:
+        """Refine until a facility in ``allowed`` is emitted; return it.
+
+        Candidates passed on the way are still appended to :attr:`found`
+        with one budget checkpoint each (see
+        :meth:`~repro.network.incremental.NearestFacilityStream.resume_until`).
+        ``None`` once the stream is exhausted.
+        """
+        if self._exhausted:
+            return None
+        self._advance(allowed)
+        return None if self._exhausted else self._found[-1]
+
+    def _advance(self, allowed: frozenset[int] | None = None) -> None:
+        """Refine until one more facility (in ``allowed``, if given) is emitted."""
         _budget_checkpoint()
         heap = self._heap
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -1183,7 +1196,9 @@ class CHFacilityStream:
                 heappush(heap, (self._exact(node), node, 0))
                 continue
             self._found.append((node, key))
-            return
+            if allowed is None or node in allowed:
+                return
+            _budget_checkpoint()
         self._exhausted = True
 
 

@@ -50,14 +50,20 @@ class NearestFacilityStream:
         The node the stream searches from.
     facility_nodes:
         Candidate facility node ids.  A node may host both a customer and
-        a facility; the stream then reports it at distance zero.
+        a facility; the stream then reports it at distance zero.  A
+        ``frozenset`` is used as is, so a pool builds its candidate set
+        once for all of its streams.
     """
 
     def __init__(
         self, network: Network, source: int, facility_nodes: Iterable[int]
     ) -> None:
         self._source = int(source)
-        self._facility_set = frozenset(int(f) for f in facility_nodes)
+        self._facility_set = (
+            facility_nodes
+            if isinstance(facility_nodes, frozenset)
+            else frozenset(int(f) for f in facility_nodes)
+        )
         # Plain-list CSR mirror: the resumable loop in _advance indexes
         # these arrays per edge, where numpy scalar boxing dominates.
         self._indptr, self._indices, self._weights = network.csr_lists
@@ -95,23 +101,46 @@ class NearestFacilityStream:
         item = self.facility_at(rank)
         return item[1] if item is not None else INF
 
-    def frontier_lower_bound(self) -> float | None:
-        """No cheap bound on the next facility: resuming *is* the cost.
+    def frontier_lower_bound(self) -> float:
+        """Cheap lower bound on the next *unemitted* facility's distance.
 
-        Oracle-backed streams override this with their heap minimum; the
-        ``None`` here keeps the SSPA lower-bound fast path disabled on
-        the kernel path, so kernel-path behavior stays byte-identical.
+        The paused Dijkstra pops keys in non-decreasing order and only
+        pushes keys at least as large as the one it popped, so the
+        minimum key of its heap bounds every later settle, the next
+        facility's included.  ``inf`` when the heap is empty: nothing
+        further is reachable.  Never resumes the search.
         """
-        return None
+        heap = self._heap
+        return heap[0][0] if heap else INF
 
-    def _advance(self) -> None:
-        """Resume Dijkstra until one more facility node is settled."""
-        # One checkpoint per heavy operation (the budget granularity
-        # convention); the per-edge loop below stays call-free.
+    def resume_until(self, allowed: frozenset[int]) -> tuple[int, float] | None:
+        """Resume until a facility in ``allowed`` is settled; return it.
+
+        One pass of the paused Dijkstra: every candidate passed on the
+        way is still appended to :attr:`found`, with one budget
+        checkpoint each, so the stream's order stays shared with
+        unfiltered cursors.  ``None`` once the stream is exhausted.
+        """
+        if self._exhausted:
+            return None
+        self._advance(allowed)
+        return None if self._exhausted else self._found[-1]
+
+    def _advance(self, allowed: frozenset[int] | None = None) -> None:
+        """Resume Dijkstra until one more facility node is settled.
+
+        With ``allowed``, candidates outside it are recorded and passed
+        over until one inside it is settled.
+        """
+        # One checkpoint up front and one per candidate passed over (the
+        # budget granularity convention); the per-edge loop below stays
+        # call-free.
         _budget_checkpoint()
         heap = self._heap
         dist = self._dist
         done = self._done
+        found = self._found
+        facility_set = self._facility_set
         indptr, indices, weights = self._indptr, self._indices, self._weights
         heappush, heappop = heapq.heappush, heapq.heappop
         pops = 0
@@ -134,9 +163,11 @@ class NearestFacilityStream:
                         dist[v] = nd
                         relaxations += 1
                         heappush(heap, (nd, v))
-                if u in self._facility_set:
-                    self._found.append((u, d))
-                    return
+                if u in facility_set:
+                    found.append((u, d))
+                    if allowed is None or u in allowed:
+                        return
+                    _budget_checkpoint()
             self._exhausted = True
         finally:
             c_pops, c_relax, c_settled = _ADVANCE_COUNTERS.get()
@@ -180,6 +211,26 @@ class StreamCursor:
             return found[rank]
         return self._stream.facility_at(rank)
 
+    def peek_in(self, allowed: frozenset[int]) -> tuple[int, float] | None:
+        """Next facility in ``allowed``, consuming the ones before it.
+
+        Facilities outside ``allowed`` only advance this cursor's rank,
+        so a shared stream is unaffected.  Past the revealed prefix, one
+        ``resume_until`` call passes every disallowed candidate.
+        """
+        found = self._stream._found
+        rank = self._rank
+        n = len(found)
+        while rank < n and found[rank][0] not in allowed:
+            rank += 1
+        if rank < n:
+            item: tuple[int, float] | None = found[rank]
+        else:
+            item = self._stream.resume_until(allowed)
+            rank = len(found) - 1 if item is not None else len(found)
+        self._rank = rank
+        return item
+
     def peek_distance(self) -> float:
         """Distance of the next facility, or ``inf`` when exhausted."""
         found = self._stream._found
@@ -188,13 +239,13 @@ class StreamCursor:
             return found[rank][1]
         return self._stream.distance_at(rank)
 
-    def peek_lower_bound(self) -> float | None:
+    def peek_lower_bound(self) -> float:
         """A cheap lower bound on :meth:`peek_distance`, without advancing.
 
         Already-revealed facilities return their exact distance; at the
-        stream frontier the underlying stream's
-        ``frontier_lower_bound`` answers (``None`` on kernel streams,
-        where no cheap bound exists).  Never triggers search work.
+        stream frontier the underlying stream's ``frontier_lower_bound``
+        answers (the paused heap's minimum key on every stream kind).
+        Never triggers search work.
         """
         found = self._stream._found
         rank = self._rank
@@ -258,6 +309,8 @@ class StreamPool:
     def __init__(self, network: Network, facility_nodes: Iterable[int]) -> None:
         self._network = network
         self._facility_nodes = tuple(int(f) for f in facility_nodes)
+        # Built once and shared by every kernel stream of the pool.
+        self._facility_set = frozenset(self._facility_nodes)
         self._streams: dict[
             int, NearestFacilityStream | _oracle.FacilityStream
         ] = {}
@@ -269,11 +322,6 @@ class StreamPool:
             # Materialize them at zero to keep the vocabulary stable.
             _ADVANCE_COUNTERS.get()
             metrics.active().counter("incremental.streams")
-
-    @property
-    def has_oracle(self) -> bool:
-        """Whether this pool serves oracle-backed streams."""
-        return self._oracle is not None
 
     def stream_for(
         self, node: int
@@ -287,7 +335,7 @@ class StreamPool:
                 )
             else:
                 stream = NearestFacilityStream(
-                    self._network, node, self._facility_nodes
+                    self._network, node, self._facility_set
                 )
             self._streams[node] = stream
         return stream

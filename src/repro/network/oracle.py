@@ -23,10 +23,11 @@ is refined into exact distances on demand, so facilities still pop in
 non-decreasing *exact* distance order -- a drop-in for
 :class:`~repro.network.incremental.NearestFacilityStream` that replaces
 one paused Dijkstra per customer with a few targeted A* queries.  The
-same lower bounds tighten the Theorem-1 SSPA pruning threshold (see
-``flow/sspa.py``): since the cheap bound never exceeds the exact bound,
-the fast path stops only when the exact rule would have stopped too,
-keeping objectives bit-identical.
+heap minimum is also the stream's cheap lower bound for the Theorem-1
+SSPA stop (see ``flow/sspa.py``), as the paused heap's minimum is on
+the kernel path: since the cheap bound never exceeds the exact bound,
+the stop it certifies is one the exact rule would make too, keeping
+objectives bit-identical.
 
 Built oracles persist to disk as ``.npz`` blobs keyed by
 ``Network.fingerprint`` plus the oracle parameters, with a versioned
@@ -94,7 +95,8 @@ COUNTER_QUERIES = "oracle.queries"
 COUNTER_QUERY_POPS = "oracle.query_pops"
 COUNTER_QUERY_RELAXATIONS = "oracle.query_relaxations"
 COUNTER_STREAMS = "oracle.streams"
-#: SSPA fast-path stops certified by oracle bounds (bumped in flow/sspa.py).
+#: SSPA stops certified by stream lower bounds, on every stream kind (the
+#: kernel path too; bumped in flow/sspa.py).
 COUNTER_PRUNES = "oracle.prunes"
 
 _QUERY_COUNTERS = metrics.CounterBlock(
@@ -562,8 +564,21 @@ class OracleFacilityStream:
         heap = self._heap
         return heap[0][0] if heap else INF
 
-    def _advance(self) -> None:
-        """Refine until one more facility is emitted or none remain."""
+    def resume_until(self, allowed: frozenset[int]) -> tuple[int, float] | None:
+        """Refine until a facility in ``allowed`` is emitted; return it.
+
+        Candidates passed on the way are still appended to :attr:`found`
+        with one budget checkpoint each (see
+        :meth:`~repro.network.incremental.NearestFacilityStream.resume_until`).
+        ``None`` once the stream is exhausted.
+        """
+        if self._exhausted:
+            return None
+        self._advance(allowed)
+        return None if self._exhausted else self._found[-1]
+
+    def _advance(self, allowed: frozenset[int] | None = None) -> None:
+        """Refine until one more facility (in ``allowed``, if given) is emitted."""
         _budget_checkpoint()
         heap = self._heap
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -577,7 +592,9 @@ class OracleFacilityStream:
                     heappush(heap, (exact, node, 0))
                 continue
             self._found.append((node, key))
-            return
+            if allowed is None or node in allowed:
+                return
+            _budget_checkpoint()
         self._exhausted = True
 
 

@@ -17,7 +17,7 @@ counter                          meaning
 ``sspa.dijkstra_runs/pops``      residual-graph Dijkstra work
 ``set_cover.checks/heap_pops``   CheckCover invocations and lazy-heap pops
 ``oracle.queries/query_pops``    oracle point-to-point work (zero on the kernel path)
-``oracle.prunes``                SSPA stops certified by oracle lower bounds
+``oracle.prunes``                SSPA stops certified by stream lower bounds (any kind)
 ``ch.upward_settles/...``        contraction-hierarchy sweep work (``ch`` kind)
 ``bipartite.peak_edges``         peak ``G_b`` size (gauge)
 ===============================  =============================================

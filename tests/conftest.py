@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 
 import numpy as np
 import pytest
 
 from repro.core.instance import MCFSInstance
+from repro.flow.bipartite import _FilteredCursor
 from repro.network.graph import Network
+from repro.network.incremental import (
+    NearestFacilityStream,
+    StreamCursor,
+    StreamPool,
+)
+from repro.network.oracle import FacilityStream
 
 
 def build_line_network(n: int, spacing: float = 1.0) -> Network:
@@ -97,6 +105,45 @@ def build_random_instance(
         k=k,
         name=f"random-{seed}",
     )
+
+
+def frontier_bound_probe(
+    stream: NearestFacilityStream | FacilityStream,
+) -> tuple[Callable[[], float], Callable[[], tuple[int, float] | None]]:
+    """``(bound, take)`` for a stream's own ``frontier_lower_bound``."""
+    return stream.frontier_lower_bound, StreamCursor(stream).take
+
+
+def filtered_bound_probe(
+    pool: StreamPool, source: int, allowed: Iterable[int]
+) -> tuple[Callable[[], float], Callable[[], tuple[int, float] | None]]:
+    """``(bound, take)`` for a filtered cursor over ``pool``'s shared stream.
+
+    An unfiltered cursor first reveals part of the stream, so the probe
+    crosses both the revealed prefix and the paused frontier; ``take``
+    then emits only ``allowed`` facilities.
+    """
+    pool.cursor_for(source).drain(3)
+    cursor = _FilteredCursor(pool.stream_for(source), frozenset(allowed))
+    return cursor.peek_lower_bound, cursor.take
+
+
+def drain_checking_bound(
+    bound: Callable[[], float],
+    take: Callable[[], tuple[int, float] | None],
+) -> int:
+    """Take until exhausted; each ``bound()`` must not exceed the next emission.
+
+    Returns the number of facilities emitted.
+    """
+    emitted = 0
+    while True:
+        lower = bound()
+        item = take()
+        if item is None:
+            return emitted
+        assert lower <= item[1]
+        emitted += 1
 
 
 @pytest.fixture

@@ -5,9 +5,39 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import GraphError
-from repro.flow.bipartite import BipartiteState
-from repro.network.incremental import StreamPool
-from tests.conftest import build_line_network
+from repro.flow.bipartite import BipartiteState, _FilteredCursor
+from repro.network.ch import CHFacilityStream, ContractionHierarchy
+from repro.network.incremental import (
+    NearestFacilityStream,
+    StreamCursor,
+    StreamPool,
+)
+from repro.network.oracle import AltOracle, OracleFacilityStream
+from repro.runtime import budget
+from tests.conftest import build_line_network, build_random_network
+
+_RESUME_NETWORK = build_random_network(40, seed=5)
+_RESUME_FACILITIES = list(range(0, 40, 3))
+
+
+def make_stream(kind):
+    """A fresh stream of ``kind`` from node 7 (own oracle: no warm memos)."""
+    network = _RESUME_NETWORK
+    if kind == "kernel":
+        return NearestFacilityStream(network, 7, _RESUME_FACILITIES)
+    if kind == "alt":
+        oracle = AltOracle.build(network, n_landmarks=4)
+        return OracleFacilityStream(oracle, 7, _RESUME_FACILITIES)
+    hierarchy = ContractionHierarchy.build(network)
+    return CHFacilityStream(hierarchy, 7, _RESUME_FACILITIES)
+
+
+def count_checkpoints(fn):
+    """Run ``fn`` under a budget that never expires; return its ticks."""
+    meter = budget.Budget(1e9, stride=10**9)
+    with budget.use(meter):
+        fn()
+    return meter._ticks
 
 
 def make_state(**kwargs):
@@ -131,3 +161,28 @@ class TestFilteredCursor:
         pool = StreamPool(g, [0, 5, 9])
         state = BipartiteState(g, [1], [9], [1], pool=pool)
         assert state.next_candidate_distance(0) == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("kind", ["kernel", "alt", "ch"])
+    def test_one_resume_matches_per_candidate_peeks(self, kind):
+        order = StreamCursor(make_stream(kind)).drain()
+        allowed = frozenset({order[6][0], order[9][0]})
+
+        # Reference: peek/take every skipped candidate one at a time.
+        reference = StreamCursor(make_stream(kind))
+
+        def step_by_step():
+            while reference.peek()[0] not in allowed:
+                reference.take()
+
+        stream = make_stream(kind)
+        one_pass = _FilteredCursor(stream, allowed)
+        ticks = count_checkpoints(step_by_step)
+        assert count_checkpoints(one_pass.peek) == ticks
+        assert one_pass.rank == reference.rank == 6
+        assert one_pass.peek() == order[6]
+        # Every passed candidate was still recorded for other cursors.
+        assert stream.found == order[:7]
+        assert one_pass.take() == order[6]
+        assert one_pass.take() == order[9]
+        assert one_pass.take() is None
+        assert one_pass.rank == len(order)

@@ -34,6 +34,9 @@ from tests.conftest import (
     build_random_instance,
     build_random_network,
     build_two_component_network,
+    drain_checking_bound,
+    filtered_bound_probe,
+    frontier_bound_probe,
 )
 
 INF = math.inf
@@ -188,20 +191,30 @@ class TestStreamEquivalence:
         hierarchy = ContractionHierarchy.build(network)
         with oracle_mod.use(hierarchy):
             pool = StreamPool(network, [1, 5, 9])
-            assert pool.has_oracle
             stream = pool.stream_for(0)
         assert isinstance(stream, CHFacilityStream)
 
     def test_frontier_lower_bound_never_exceeds_next_emission(self):
         network = build_random_network(30, seed=4)
         hierarchy = ContractionHierarchy.build(network)
-        stream = CHFacilityStream(hierarchy, 0, [3, 11, 19, 27])
-        for rank in range(4):
-            bound = stream.frontier_lower_bound()
-            item = stream.facility_at(rank)
-            if item is None:
-                break
-            assert bound <= item[1]
+        facilities = [3, 11, 19, 27]
+        candidates = range(1, 30, 2)
+        with oracle_mod.use(hierarchy):
+            ch_pool = StreamPool(network, candidates)
+        kernel_pool = StreamPool(network, candidates)
+        probes = {
+            "ch": frontier_bound_probe(
+                CHFacilityStream(hierarchy, 0, facilities)
+            ),
+            "kernel": frontier_bound_probe(
+                NearestFacilityStream(network, 0, facilities)
+            ),
+            # Filtered: the bound stays below the next *allowed* emission.
+            "filtered-ch": filtered_bound_probe(ch_pool, 0, facilities),
+            "filtered-kernel": filtered_bound_probe(kernel_pool, 0, facilities),
+        }
+        for kind, probe in probes.items():
+            assert drain_checking_bound(*probe) == len(facilities), kind
 
     def test_exhausted_on_island_source(self):
         stream = CHFacilityStream(

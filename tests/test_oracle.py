@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_solvers
+from repro.datagen.instances import uniform_instance
 from repro.errors import GraphError
 from repro.network import oracle as oracle_mod
 from repro.network.dijkstra import shortest_path_lengths
@@ -30,6 +31,9 @@ from tests.conftest import (
     build_random_instance,
     build_random_network,
     build_two_component_network,
+    drain_checking_bound,
+    filtered_bound_probe,
+    frontier_bound_probe,
 )
 
 INF = math.inf
@@ -286,24 +290,32 @@ class TestOracleFacilityStream:
     def test_frontier_lower_bound_is_sound(self):
         network = build_random_network(50, seed=2)
         oracle = AltOracle.build(network, n_landmarks=6)
-        stream = OracleFacilityStream(oracle, 3, [10, 20, 30, 40])
-        emitted = 0
-        while True:
-            bound = stream.frontier_lower_bound()
-            item = stream.facility_at(emitted)
-            if item is None:
-                break
-            assert bound <= item[1]
-            emitted += 1
+        facilities = [10, 20, 30, 40]
+        candidates = range(0, 50, 5)
+        with oracle_mod.use(oracle):
+            alt_pool = StreamPool(network, candidates)
+        kernel_pool = StreamPool(network, candidates)
+        probes = {
+            "alt": frontier_bound_probe(
+                OracleFacilityStream(oracle, 3, facilities)
+            ),
+            "kernel": frontier_bound_probe(
+                NearestFacilityStream(network, 3, facilities)
+            ),
+            # Filtered: the bound stays below the next *allowed* emission.
+            "filtered-alt": filtered_bound_probe(alt_pool, 3, facilities),
+            "filtered-kernel": filtered_bound_probe(kernel_pool, 3, facilities),
+        }
+        for kind, probe in probes.items():
+            assert drain_checking_bound(*probe) == len(facilities), kind
 
     def test_stream_pool_uses_oracle_in_scope(self):
         network = build_random_network(40, seed=0)
         oracle = AltOracle.build(network, n_landmarks=4)
         pool = StreamPool(network, [5, 15, 25])
-        assert not pool.has_oracle
+        assert isinstance(pool.stream_for(0), NearestFacilityStream)
         with oracle_mod.use(oracle):
             pool = StreamPool(network, [5, 15, 25])
-            assert pool.has_oracle
             assert isinstance(pool.stream_for(0), OracleFacilityStream)
 
     def test_pool_cursors_identical_under_oracle(self):
@@ -429,6 +441,23 @@ class TestProfileIntegration:
         for key in ("oracle.prunes", "incremental.pops", "dijkstra.pops"):
             assert key in plain.metrics
             assert key in fast.metrics
+
+    def test_kernel_streams_prune_like_alt(self):
+        # The kernel stream's paused heap bounds nnDist too, so the
+        # Theorem-1 stop is certified without resuming streams -- and
+        # the SSPA trajectory is exactly the ALT run's.
+        instance = uniform_instance(256, seed=0)
+        kernel = profile_solver(instance, "wma", oracle=False).metrics
+        alt = profile_solver(instance, "wma", oracle="alt").metrics
+        assert kernel["oracle.queries"] == 0
+        assert kernel["oracle.prunes"] > 0
+        for key in (
+            "sspa.reveals",
+            "sspa.augmentations",
+            "sspa.pops",
+            "sspa.dijkstra_runs",
+        ):
+            assert kernel[key] == alt[key], key
 
     def test_profile_env_knob(self, monkeypatch):
         monkeypatch.setenv(oracle_mod.ORACLE_ENV_VAR, "alt")

@@ -34,7 +34,11 @@ from repro.serve import (
     state_digest,
     synthesize_trace,
 )
-from tests.conftest import build_grid_network, build_line_network
+from tests.conftest import (
+    build_grid_network,
+    build_line_network,
+    build_two_component_network,
+)
 
 GRID = build_grid_network(5, 5)
 
@@ -242,6 +246,23 @@ class TestEngineDepartures:
         assert result.repaired_components == 1
         assert result.moves == 1
         assert engine.cost == pytest.approx(1.0)
+        assert engine.cost == cold_cost(engine)
+
+    def test_departure_transplants_other_components(self):
+        # One customer per triangle: the departure dirties one component
+        # and the other component's matched row is transplanted warm.
+        inst = MCFSInstance(
+            network=build_two_component_network(),
+            customers=(0, 3),
+            facility_nodes=(1, 4),
+            capacities=(1, 1),
+            k=2,
+        )
+        engine = ServeEngine(inst, [0, 1])
+        result = engine.apply([CustomerDepart(0)])
+        assert result.applied == 1
+        assert result.staleness == "optimal"
+        assert result.repaired_components == 1
         assert engine.cost == cold_cost(engine)
 
     def test_departure_of_unknown_handle_rejected(self):
