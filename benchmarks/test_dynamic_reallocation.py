@@ -2,8 +2,9 @@
 
 The paper motivates MCFS with workloads that require "the dynamic
 reallocation of customers to facilities"; this bench measures the
-operational layer built for that: incremental arrival cost versus
-re-solving the assignment from scratch on every change.
+operational layer built for that, :class:`repro.serve.ServeEngine`:
+incremental arrival cost versus re-solving the assignment from scratch
+on every change.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ import pytest
 
 from repro import solve
 from repro.bench.reporting import format_table
-from repro.core.dynamic import DynamicAllocator
 from repro.datagen.instances import clustered_instance
 from repro.errors import MatchingError
 from repro.flow.sspa import assign_all
-
-# The legacy facade under test warns by design (see docs/api.md).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.serve import CustomerArrive, ServeEngine
 
 
 def test_dynamic_arrivals(benchmark):
@@ -34,17 +32,16 @@ def test_dynamic_arrivals(benchmark):
     arrivals = [int(v) for v in rng.integers(0, instance.network.n_nodes, 40)]
 
     def incremental():
-        alloc = DynamicAllocator(instance, selection)
+        engine = ServeEngine(instance, selection)
         served = 0
         for node in arrivals:
-            try:
-                alloc.add_customer(node)
-                served += 1
-            except MatchingError:
+            result = engine.apply([CustomerArrive(node)])
+            if result.applied == 0:
                 break
-        return alloc, served
+            served += 1
+        return engine, served
 
-    alloc, served = benchmark.pedantic(incremental, rounds=1, iterations=1)
+    engine, served = benchmark.pedantic(incremental, rounds=1, iterations=1)
 
     # Reference: re-solving the whole assignment after every arrival.
     sub_nodes = [instance.facility_nodes[j] for j in selection]
@@ -62,14 +59,14 @@ def test_dynamic_arrivals(benchmark):
         resolves += 1
     scratch_time = time.perf_counter() - t0
 
-    final_cost = alloc.cost
+    final_cost = engine.cost
     reference = assign_all(
         instance.network, pool_customers, sub_nodes, sub_caps
     ).cost
 
     rows = [
         {
-            "strategy": "incremental (DynamicAllocator)",
+            "strategy": "incremental (ServeEngine)",
             "arrivals": served,
             "final_cost": round(final_cost, 1),
         },
@@ -83,6 +80,6 @@ def test_dynamic_arrivals(benchmark):
     print()
     print(format_table(rows, title="Dynamic reallocation: arrivals"))
 
-    # The incremental allocator must stay exactly optimal.
-    assert final_cost == __import__("pytest").approx(reference, rel=1e-9)
+    # The incremental engine must stay exactly optimal.
+    assert final_cost == pytest.approx(reference, rel=1e-9)
     benchmark.extra_info["arrivals"] = served

@@ -4,8 +4,8 @@ The paper's introduction motivates MCFS with services that must be
 "solved scalably and repeatedly, as in applications requiring the
 dynamic reallocation of customers to facilities".  This example selects
 facilities once with WMA and then serves a live stream of customer
-arrivals and departures, keeping the assignment *optimal* at every step
-without re-solving from scratch.
+arrivals and departures through a :class:`repro.ServeEngine`, keeping
+the assignment *optimal* at every step without re-solving from scratch.
 
 Run:
     python examples/dynamic_reallocation.py
@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import DynamicAllocator, solve
+from repro import CustomerArrive, CustomerDepart, ServeEngine, solve
 from repro.bench.reporting import format_table
 from repro.datagen import clustered_instance
-from repro.errors import MatchingError
 
 
 def main() -> None:
@@ -35,38 +34,41 @@ def main() -> None:
     )
     print()
 
-    allocator = DynamicAllocator(instance, solution.selected)
+    engine = ServeEngine(instance, solution.selected)
     rng = np.random.default_rng(1)
-    live = list(range(instance.m))
+    live = engine.handles()
 
     log = []
+    moves = []  # earlier customers rewired by each served arrival
     for step in range(60):
         if live and rng.random() < 0.45:
             handle = live.pop(int(rng.integers(len(live))))
-            allocator.remove_customer(handle)
+            engine.apply([CustomerDepart(handle)])
             action = "departure"
         else:
             node = int(rng.integers(instance.network.n_nodes))
-            try:
-                live.append(allocator.add_customer(node))
+            result = engine.apply([CustomerArrive(node)])
+            outcome = result.outcomes[0]
+            if outcome.status == "applied":
+                live.append(outcome.handle)
+                moves.append(result.moves)
                 action = "arrival"
-            except MatchingError:
+            else:
                 action = "rejected (no capacity reachable)"
         if step % 12 == 0:
             log.append(
                 {
                     "step": step,
                     "event": action,
-                    "active": allocator.n_active,
-                    "cost": round(allocator.cost, 1),
-                    "residual_capacity": allocator.residual_capacity(),
+                    "active": engine.n_active,
+                    "cost": round(engine.cost, 1),
+                    "residual_capacity": engine.residual_capacity(),
                 }
             )
 
     print(format_table(log, title="Churn timeline (every 12th step)"))
     print()
 
-    moves = [e.reassigned for e in allocator.events if e.kind == "arrival"]
     print(
         f"{len(moves)} arrivals processed; "
         f"{sum(1 for x in moves if x > 0)} of them rewired existing "

@@ -14,7 +14,7 @@ Run:
 from __future__ import annotations
 
 from repro import solve
-from repro.analysis import drift_study
+from repro.bench.robustness import drift_study
 from repro.bench.reporting import format_table
 from repro.datagen import clustered_instance
 

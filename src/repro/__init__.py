@@ -34,7 +34,6 @@ from repro.baselines import (
     solve_wma_naive,
 )
 from repro.core import (
-    DynamicAllocator,
     MCFSInstance,
     MCFSSolution,
     WMASolver,
@@ -104,7 +103,7 @@ def solve(
     options:
         A :class:`SolverOptions` (or equivalent dict) accepted uniformly
         by every method: ``seed``, ``time_limit``, ``workers``,
-        ``distance_cache``, plus solver-specific ``extras``.
+        ``oracle``, plus solver-specific ``extras``.
     deadline:
         Overall wall-clock budget in seconds.  Implies fallback: when
         the budget expires (or the method fails), the runtime falls
@@ -117,8 +116,11 @@ def solve(
         is set), ``False`` disables fallback, a comma-separated string
         or sequence gives an explicit chain.
     kwargs:
-        Forwarded to the specific solver (e.g. ``seed`` for randomized
-        baselines, ``time_limit`` for any method).
+        Universal options given directly (e.g. ``seed`` for randomized
+        baselines, ``time_limit`` for any method); they override the
+        ``options`` fields.  Solver-specific options go in
+        ``options.extras``; anything else raises
+        :class:`~repro.errors.SolverError`.
     """
     if method not in SOLVERS:
         raise ValueError(
@@ -151,7 +153,6 @@ __all__ = [
     "solve_wma_naive",
     "solve_wma_refined",
     "refine_solution",
-    "DynamicAllocator",
     "ServeEngine",
     "ServeResult",
     "CustomerArrive",

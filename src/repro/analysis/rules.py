@@ -172,7 +172,7 @@ class ObsNameRegistryRule(Rule):
     A name used at a call site but absent from the registry is a typo
     about to mint an ungated counter; a registered name with no call
     site is dead vocabulary.  Names passed through module-level string
-    constants (``COUNTER_HITS = "distcache.hits"``) are resolved;
+    constants (``COUNTER_QUERIES = "oracle.queries"``) are resolved;
     genuinely dynamic names (variables, f-strings) are outside the
     rule's reach and are ignored.
     """
@@ -746,22 +746,21 @@ class LayeringRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP103 -- no shared-state mutation on parallel/cache read paths
+# REP103 -- no shared-state mutation on parallel read paths
 # ----------------------------------------------------------------------
 class SharedStateSafetyRule(Rule):
-    """Worker/cache read paths must not mutate ``Network`` state.
+    """Worker read paths must not mutate ``Network`` state.
 
     The process-parallel distance engine (PR 2) forks workers that
-    share a ``Network`` via copy-on-write and shared-memory CSR blocks,
-    and the distance cache keys on ``Network.fingerprint`` -- a read
-    path that mutates the network (even a memo write) corrupts results
-    silently or defeats fork-time page sharing.  The rule statically
-    discovers worker entry points (functions passed as ``initializer=``
-    or ``target=`` keywords, or as the first argument of a
-    ``.map``/``.imap``/``.starmap``-style method call) plus the
-    distance-cache read path, walks everything reachable in the call
-    graph (including property getters), and reports every *direct*
-    mutation effect whose root is typed ``Network``.
+    share a ``Network`` via copy-on-write and shared-memory CSR blocks
+    -- a read path that mutates the network (even a memo write)
+    corrupts results silently or defeats fork-time page sharing.  The
+    rule statically discovers worker entry points (functions passed as
+    ``initializer=`` or ``target=`` keywords, or as the first argument
+    of a ``.map``/``.imap``/``.starmap``-style method call), walks
+    everything reachable in the call graph (including property
+    getters), and reports every *direct* mutation effect whose root is
+    typed ``Network``.
 
     Suppressions for this rule **require a justification**::
 
@@ -772,7 +771,7 @@ class SharedStateSafetyRule(Rule):
 
     id = "REP103"
     severity = "error"
-    title = "shared-state mutation on a parallel/cache read path"
+    title = "shared-state mutation on a parallel read path"
     hint = (
         "make the write happen before the pool forks (see "
         "Network.materialize_caches) or move it off the read path; "
@@ -780,7 +779,7 @@ class SharedStateSafetyRule(Rule):
         "'# reprolint: disable=REP103 -- <reason>'"
     )
 
-    #: Class names whose instances are shared across workers/cache keys.
+    #: Class names whose instances are shared across workers.
     PROTECTED_TYPES = ("Network",)
     #: Method names whose first positional argument is a worker function.
     _MAP_METHODS = frozenset(
@@ -788,8 +787,6 @@ class SharedStateSafetyRule(Rule):
     )
     #: Keyword arguments that carry a worker entry point.
     _ENTRY_KWARGS = frozenset({"initializer", "target"})
-    #: Repo-specific read paths that behave like worker entries.
-    EXTRA_ENTRY_NODES = ("network.distcache.DistanceCache.lengths",)
     #: Constructor-style methods: their ``self`` is the object being
     #: built, which no other process can see yet.
     _FRESH_OBJECT_METHODS = frozenset(
@@ -825,9 +822,6 @@ class SharedStateSafetyRule(Rule):
         for module, name in self._entry_refs:
             node_id = calls.lookup_function(module, name)
             if node_id is not None:
-                entries.add(node_id)
-        for node_id in self.EXTRA_ENTRY_NODES:
-            if node_id in calls.functions:
                 entries.add(node_id)
         return sorted(entries)
 
@@ -866,7 +860,7 @@ class SharedStateSafetyRule(Rule):
                     f"{info.qualname}() mutates shared Network state "
                     f"({effect.kind} on {effect.root}"
                     f"{'.' + effect.detail if effect.detail else ''}) but "
-                    f"is reachable from the parallel/cache read path "
+                    f"is reachable from the parallel read path "
                     f"{' -> '.join(chain) if chain else entry}",
                 )
 

@@ -10,7 +10,6 @@ instance before its row is trusted.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 from collections.abc import Iterable, Sequence
@@ -21,7 +20,6 @@ from repro import SOLVERS
 from repro.core.instance import MCFSInstance
 from repro.core.validation import validate_solution
 from repro.errors import ReproError, SolverError
-from repro.network import distcache
 from repro.obs import metrics as obs_metrics
 
 DEFAULT_METHODS = ("wma", "hilbert", "wma-naive", "exact")
@@ -149,9 +147,7 @@ def solver_row(
             if deadline is not None or fallback is not None:
                 from repro import runtime
 
-                opts = runtime.normalize_options(
-                    method, None, solver_kwargs, warn_legacy=False
-                )
+                opts = runtime.normalize_options(method, None, solver_kwargs)
                 result = runtime.solve_with_fallback(
                     instance,
                     runtime.chain_for(method, fallback),
@@ -217,7 +213,6 @@ def run_solvers(
     validate: bool = True,
     seeds: dict[str, int] | None = None,
     workers: int | None = None,
-    distance_cache: bool | distcache.DistanceCache | None = None,
     oracle: Any = None,
     deadline: float | None = None,
     fallback: Any = None,
@@ -239,17 +234,15 @@ def run_solvers(
         Process count forwarded to the solvers in
         :data:`WORKER_AWARE_METHODS`; objectives are identical for any
         count.
-    distance_cache:
-        ``True`` creates a fresh :class:`repro.network.distcache.DistanceCache`
-        shared by every method in this line-up; an existing cache
-        instance is used as-is (e.g. one shared across a parameter
-        sweep).  Cached distances are bit-identical to fresh runs.
     oracle:
-        ALT distance-oracle control passed to every method (universal
+        Distance-oracle control passed to every method (universal
         option; see :func:`repro.network.oracle.resolve`).  ``True`` or
-        ``"alt"`` shares the instance network's default oracle across
-        the line-up; ``None`` defers to ``REPRO_ORACLE``.  Objectives
-        are bit-identical to the kernel path.
+        ``"alt"`` shares the instance network's default ALT oracle
+        across the line-up, ``"ch"`` its contraction hierarchy;
+        ``None`` defers to ``REPRO_ORACLE``.  Objectives are
+        bit-identical to the kernel path, which is also the fastest
+        for solves, so leave it off there (see the oracle table in
+        ``docs/api.md``).
     deadline:
         Per-method wall-clock budget in seconds, enforced cooperatively
         by the runtime for *every* method; with ``fallback`` (default:
@@ -260,37 +253,29 @@ def run_solvers(
         ``None``/``"auto"`` for the default chains, ``False`` to
         disable, or an explicit comma-separated chain.
     """
-    if distance_cache is True:
-        distance_cache = distcache.DistanceCache()
-    scope = (
-        distcache.use(distance_cache)
-        if isinstance(distance_cache, distcache.DistanceCache)
-        else contextlib.nullcontext()
-    )
     rows: list[BenchRow] = []
-    with scope:
-        for method in methods:
-            kwargs: dict[str, Any] = {}
-            if method == "exact" and exact_time_limit is not None:
-                kwargs["time_limit"] = exact_time_limit
-            if seeds and method in seeds:
-                kwargs["seed"] = seeds[method]
-            if workers is not None and method in WORKER_AWARE_METHODS:
-                kwargs["workers"] = workers
-            if oracle is not None:
-                kwargs["oracle"] = oracle
-            rows.append(
-                solver_row(
-                    instance,
-                    method,
-                    label=label,
-                    params=params,
-                    validate=validate,
-                    deadline=deadline,
-                    fallback=fallback,
-                    **kwargs,
-                )
+    for method in methods:
+        kwargs: dict[str, Any] = {}
+        if method == "exact" and exact_time_limit is not None:
+            kwargs["time_limit"] = exact_time_limit
+        if seeds and method in seeds:
+            kwargs["seed"] = seeds[method]
+        if workers is not None and method in WORKER_AWARE_METHODS:
+            kwargs["workers"] = workers
+        if oracle is not None:
+            kwargs["oracle"] = oracle
+        rows.append(
+            solver_row(
+                instance,
+                method,
+                label=label,
+                params=params,
+                validate=validate,
+                deadline=deadline,
+                fallback=fallback,
+                **kwargs,
             )
+        )
     return rows
 
 

@@ -16,7 +16,6 @@ The modules in this subpackage map one-to-one onto the paper's Section IV:
 """
 
 from repro.core.demand import DemandPolicy, SelectiveDemandPolicy, UniformDemandPolicy
-from repro.core.dynamic import AllocationEvent, DynamicAllocator
 from repro.core.instance import MCFSInstance
 from repro.core.local_search import RefinementReport, refine_solution, solve_wma_refined
 from repro.core.provisions import cover_components, select_greedy
@@ -51,8 +50,6 @@ __all__ = [
     "check_cover",
     "cover_components",
     "select_greedy",
-    "DynamicAllocator",
-    "AllocationEvent",
     "RefinementReport",
     "refine_solution",
     "solve_wma_refined",

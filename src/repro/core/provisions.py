@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.core.instance import MCFSInstance
 from repro.errors import InfeasibleInstanceError
-from repro.network.dijkstra import multi_source_lengths, nearest_of
+from repro.network.dijkstra import multi_source_lengths
+from repro.network.incremental import NearestFacilityStream
 
 
 def select_greedy(
@@ -55,7 +56,9 @@ def select_greedy(
         open_candidates = [
             node_of[j] for j in range(instance.l) if j not in chosen
         ]
-        found = nearest_of(instance.network, s_star, open_candidates)
+        found = NearestFacilityStream(
+            instance.network, s_star, open_candidates
+        ).facility_at(0)
         if found is None:
             # The worst customer's component has no unselected candidate;
             # fall back to any unselected candidate (budget still helps

@@ -1,4 +1,4 @@
-"""Temporal customer workloads for the dynamic reallocation layer.
+"""Temporal customer workloads for the online serving engine.
 
 The paper's introduction motivates MCFS with services that re-solve
 "periodically, depending on which customers declare interest".  This
@@ -6,8 +6,9 @@ module synthesizes such streams: arrival/departure event sequences over a
 network, with a diurnal arrival-rate profile and exponential service
 times -- the standard M(t)/M/inf shape of demand processes.
 
-Events feed :class:`repro.core.dynamic.DynamicAllocator` (see
-``examples/dynamic_reallocation.py`` and the dynamic benchmark).
+Events feed :class:`repro.serve.ServeEngine`: an arrival becomes a
+``CustomerArrive(event.node)`` mutation, a departure the
+``CustomerDepart`` of the handle its arrival (``event.ref``) received.
 """
 
 from __future__ import annotations

@@ -4,12 +4,11 @@ This subpackage implements the road-network layer the paper's algorithms
 run on: a compact weighted-graph representation (:class:`~repro.network.graph.Network`),
 Dijkstra variants (:mod:`repro.network.dijkstra`), preallocated batched
 kernels (:mod:`repro.network.kernels`), process-parallel fan-out
-(:mod:`repro.network.parallel`), a cross-run distance cache
-(:mod:`repro.network.distcache`), a precomputed ALT landmark distance
-oracle (:mod:`repro.network.oracle` / :mod:`repro.network.landmarks`),
-resumable nearest-facility streams
-(:mod:`repro.network.incremental`), and connected-component bookkeeping
-(:mod:`repro.network.components`).
+(:mod:`repro.network.parallel`), two precomputed distance oracles -- ALT
+landmarks (:mod:`repro.network.oracle` / :mod:`repro.network.landmarks`)
+and contraction hierarchies (:mod:`repro.network.ch`) -- resumable
+nearest-facility streams (:mod:`repro.network.incremental`), and
+connected-component bookkeeping (:mod:`repro.network.components`).
 """
 
 from repro.network.astar import astar_distance
@@ -22,11 +21,9 @@ from repro.network.dijkstra import (
     DijkstraResult,
     distance_matrix,
     multi_source_lengths,
-    nearest_of,
     shortest_path,
     shortest_path_lengths,
 )
-from repro.network.distcache import DistanceCache
 from repro.network.graph import GraphStats, Network
 from repro.network.incremental import NearestFacilityStream, StreamCursor, StreamPool
 from repro.network.kernels import DijkstraWorkspace, many_source_lengths
@@ -50,12 +47,10 @@ __all__ = [
     "shortest_path",
     "multi_source_lengths",
     "distance_matrix",
-    "nearest_of",
     "DijkstraWorkspace",
     "many_source_lengths",
     "ParallelDistanceEngine",
     "resolve_workers",
-    "DistanceCache",
     "AltOracle",
     "OracleFacilityStream",
     "select_landmarks",

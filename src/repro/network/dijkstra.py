@@ -9,6 +9,10 @@ The paper's algorithms need several flavours of Dijkstra:
 * early-exit searches that stop once a target set is settled;
 * full customer-facility distance matrices (exact MILP solver).
 
+First-target searches (Algorithm 4's nearest unselected candidate) are
+a :class:`~repro.network.incremental.NearestFacilityStream` asked for
+its first facility.
+
 All of them run over the CSR arrays of :class:`Network` with a binary heap
 and lazy deletion, the standard textbook approach that performs well in
 pure Python.
@@ -20,8 +24,7 @@ loop (fresh arrays every call); the batched entry points --
 :class:`~repro.network.kernels.DijkstraWorkspace` kernel, which produces
 bit-identical distances without the per-call allocation.
 :func:`distance_matrix` additionally supports process-parallel fan-out
-(``workers=``, see :mod:`repro.network.parallel`) and consults the
-active :mod:`repro.network.distcache` cache when one is installed.
+(``workers=``, see :mod:`repro.network.parallel`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GraphError
-from repro.network import distcache as _distcache
 from repro.network.graph import Network
 from repro.network.kernels import many_source_lengths, workspace_for
 from repro.obs import metrics
@@ -250,7 +252,6 @@ def distance_matrix(
     targets: Sequence[int],
     *,
     workers: int | None = None,
-    cache: _distcache.DistanceCache | bool | None = None,
 ) -> np.ndarray:
     """Shortest-path distance matrix between two node sets.
 
@@ -267,27 +268,9 @@ def distance_matrix(
         the ``REPRO_WORKERS`` environment variable, else serial).  Small
         calls fall back to the serial kernel; results are bit-identical
         either way.
-    cache:
-        ``None`` consults the active :mod:`repro.network.distcache`
-        scope; a :class:`~repro.network.distcache.DistanceCache` uses
-        that cache explicitly; ``False`` disables caching.  The cached
-        path serves rows from memoized full single-source runs (same
-        distances, reusable across solver calls).
     """
     source_list = [int(s) for s in sources]
     target_arr = np.asarray([int(t) for t in targets], dtype=np.int64)
-
-    if cache is None:
-        cache_obj = _distcache.active()
-    elif isinstance(cache, _distcache.DistanceCache):
-        cache_obj = cache
-    else:
-        cache_obj = None
-    if cache_obj is not None:
-        matrix = np.empty((len(source_list), len(target_arr)), dtype=np.float64)
-        for i, s in enumerate(source_list):
-            matrix[i, :] = cache_obj.lengths(network, s)[target_arr]  # reprolint: disable=REP112 -- matrix contract: one cached Dijkstra per requested source
-        return matrix
 
     from repro.network.parallel import ParallelDistanceEngine, resolve_workers
 
@@ -299,52 +282,6 @@ def distance_matrix(
     return many_source_lengths(
         network, [[s] for s in source_list], targets=target_arr
     )
-
-
-def nearest_of(
-    network: Network, source: int, targets: Iterable[int]
-) -> tuple[int, float] | None:
-    """The member of ``targets`` nearest to ``source`` (network distance).
-
-    Dijkstra with first-target early exit.  Returns ``(node, distance)``
-    or ``None`` when no target is reachable.  Used by Algorithm 4 to find
-    the unselected candidate facility closest to an under-served customer.
-    """
-    _budget_checkpoint()
-    target_set = {int(t) for t in targets}
-    if not target_set:
-        return None
-    indptr, indices, weights = network.csr_lists
-    dist: dict[int, float] = {int(source): 0.0}
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, int(source))]
-    heappush, heappop = heapq.heappush, heapq.heappop
-    dist_get = dist.get
-    pops = 0
-    relaxations = 0
-    found: tuple[int, float] | None = None
-    while heap:
-        d, u = heappop(heap)
-        pops += 1
-        if u in done:
-            continue
-        done.add(u)
-        if u in target_set:
-            found = (u, d)
-            break
-        for pos in range(indptr[u], indptr[u + 1]):
-            v = indices[pos]
-            nd = d + weights[pos]
-            if nd < dist_get(v, INF):
-                dist[v] = nd
-                relaxations += 1
-                heappush(heap, (nd, v))
-    reg = metrics.active()
-    reg.counter("dijkstra.runs").add()
-    reg.counter("dijkstra.pops").add(pops)
-    reg.counter("dijkstra.relaxations").add(relaxations)
-    reg.counter("dijkstra.settled").add(len(done))
-    return found
 
 
 def eccentricity_bound(network: Network, source: int) -> float:

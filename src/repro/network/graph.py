@@ -227,8 +227,8 @@ class Network:
         """A stable content hash of the graph structure.
 
         Covers node count, directedness, and the CSR arrays; two networks
-        with identical adjacency share a fingerprint.  Used as the cache
-        key namespace by :mod:`repro.network.distcache`.
+        with identical adjacency share a fingerprint.  Keys the persisted
+        oracle blobs and the serve solution cache.
         """
         if self._fingerprint is None:
             digest = hashlib.sha1()

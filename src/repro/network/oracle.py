@@ -33,9 +33,9 @@ Built oracles persist to disk as ``.npz`` blobs keyed by
 ``Network.fingerprint`` plus the oracle parameters, with a versioned
 header; a truncated, corrupt, or mismatched file silently falls back to
 a rebuild (:func:`load_or_build`).  The active-scope pattern
-(:func:`use` / :func:`active`) mirrors :mod:`repro.network.distcache`;
-the ``oracle=`` solver option and the ``REPRO_ORACLE`` environment
-variable (:func:`resolve`) install a scope around each solve.
+(:func:`use` / :func:`active`) mirrors :mod:`repro.obs.metrics`; the
+``oracle=`` solver option and the ``REPRO_ORACLE`` environment variable
+(:func:`resolve`) install a scope around each solve.
 
 ALT is one of two oracle *kinds* sharing this activation machinery: the
 contraction-hierarchy tier
@@ -45,10 +45,12 @@ many-to-many bucket primitive beneath whole ``distance_matrix`` blocks.
 Both kinds satisfy the duck-typed oracle protocol consumed here and in
 :mod:`repro.network.incremental`: ``matches`` / ``bind`` /
 ``query(u, v)`` / ``make_stream(source, facilities)`` / ``info()``,
-with bit-identical distances either way.  Prefer ``ch`` when the
-workload is matrix-shaped (its buckets amortize across targets), ``alt``
-when it is scattered point-to-point queries over a network too large to
-contract comfortably.
+with bit-identical distances either way.  Leave the oracle off for
+solves: on both measured solve inputs WMA ran several times faster on
+the kernel's paused Dijkstras than on either kind (``docs/api.md`` has
+the table).  ``ch`` pays off on matrix-shaped work, where its buckets
+amortize across targets; ``alt`` beat the kernel only on an
+arrivals-only serve replay over a 5k-node grid.
 """
 
 from __future__ import annotations
@@ -599,7 +601,7 @@ class OracleFacilityStream:
 
 
 # ----------------------------------------------------------------------
-# Active-scope management (mirrors repro.network.distcache)
+# Active-scope management (mirrors repro.obs.metrics)
 # ----------------------------------------------------------------------
 #: Either oracle kind; both satisfy the duck-typed protocol
 #: (``matches``/``bind``/``query``/``make_stream``/``info``).

@@ -42,10 +42,6 @@ COUNTERS = frozenset(
         # -- network.parallel (process-pool distance fan-out) ----------
         "parallel.tasks",
         "parallel.fallbacks",
-        # -- network.distcache (scoped LRU of distance vectors) --------
-        "distcache.hits",
-        "distcache.misses",
-        "distcache.evictions",
         # -- network.oracle (ALT landmark distance oracle) -------------
         "oracle.builds",
         "oracle.cache_hits",

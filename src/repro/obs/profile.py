@@ -29,13 +29,11 @@ against committed baselines so CI can gate on counter regressions; see
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.network import distcache
 from repro.network import oracle as network_oracle
 from repro.obs import metrics, tracing
 
@@ -90,7 +88,6 @@ def profile_solver(
     trace: tracing.Trace | None = None,
     validate: bool = True,
     workers: int | None = None,
-    distance_cache: bool = True,
     oracle: Any = None,
     **solver_kwargs: Any,
 ) -> ProfileReport:
@@ -115,10 +112,6 @@ def profile_solver(
         Process count forwarded to solvers that accept one (see
         :data:`repro.bench.harness.WORKER_AWARE_METHODS`); ignored for
         the rest.  The profiled objective is identical for any count.
-    distance_cache:
-        Run under a fresh :class:`~repro.network.distcache.DistanceCache`
-        scope so ``distcache.*`` counters appear in the report (all
-        zeros when the solver never consults the cache).
     oracle:
         Distance-oracle control forwarded to the solver (universal
         option; see :func:`repro.network.oracle.resolve`; ``"alt"`` or
@@ -152,16 +145,9 @@ def profile_solver(
         if resolved is not None:
             solver_kwargs = {**solver_kwargs, "oracle": resolved}
     network_oracle.prime_counters(reg)
-    cache_scope = (
-        distcache.use(distcache.DistanceCache())
-        if distance_cache
-        else contextlib.nullcontext()
-    )
 
     started = time.perf_counter()
-    # Enter the metrics scope first so the cache scope's counter priming
-    # lands in this report's registry.
-    with metrics.use(reg), tracing.use(tr), cache_scope:
+    with metrics.use(reg), tracing.use(tr):
         with tr.span("solve", method=method):
             solution = solver(instance, **solver_kwargs)
         if validate:

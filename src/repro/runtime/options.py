@@ -5,22 +5,19 @@ Historically every ``solve_*`` entry point grew its own keyword surface:
 ``seed``, and ``time_limit`` existed only on the exact solver.
 :class:`SolverOptions` normalizes that surface: one dataclass carrying
 the *universal* options every solver accepts (``seed``, ``time_limit``,
-``workers``, ``distance_cache``) plus an ``extras`` dict for
-solver-specific knobs (``tie_breaking``, ``mip_gap``, ``pool_size``,
-...).
+``workers``, ``oracle``) plus an ``extras`` dict for solver-specific
+knobs (``tie_breaking``, ``mip_gap``, ``pool_size``, ...).
 
 Entry points are declared with the :func:`solver_api` decorator, which
 
 * accepts ``options=SolverOptions(...)`` (or an equivalent dict) and
   direct universal keyword arguments uniformly on every solver;
-* keeps the old per-solver keywords working as deprecated shims
-  (``DeprecationWarning``, forwarded into ``extras``);
-* rejects unknown keywords with a :class:`~repro.errors.SolverError`
+* rejects any other keyword -- a solver-specific one included, which
+  belongs in ``extras`` -- with a :class:`~repro.errors.SolverError`
   naming the valid options for that method;
 * installs the cross-cutting scopes implied by the options: a
   cooperative :class:`~repro.runtime.budget.Budget` for ``time_limit``
-  and a :class:`~repro.network.distcache.DistanceCache` scope for
-  ``distance_cache``.
+  and a distance-oracle scope for ``oracle``.
 
 Universal options a particular solver has no use for (``seed`` on the
 deterministic exact solver, ``workers`` on serial heuristics) are
@@ -31,7 +28,6 @@ it to any method -- the property fallback chains rely on.
 from __future__ import annotations
 
 import functools
-import warnings
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -52,7 +48,7 @@ __all__ = [
 ]
 
 #: Options every solver entry point accepts (ignored where meaningless).
-UNIVERSAL_OPTIONS = ("seed", "time_limit", "workers", "distance_cache", "oracle")
+UNIVERSAL_OPTIONS = ("seed", "time_limit", "workers", "oracle")
 
 
 @dataclass
@@ -73,10 +69,6 @@ class SolverOptions:
     workers:
         Process count for the distance fan-out of worker-aware solvers
         (see :mod:`repro.network.parallel`); ignored by the rest.
-    distance_cache:
-        ``True`` solves under a fresh
-        :class:`~repro.network.distcache.DistanceCache` scope; an
-        existing cache instance is used as-is (shared across calls).
     oracle:
         Distance-oracle control (:mod:`repro.network.oracle`): ``True``
         or ``"alt"`` solves under the instance network's default ALT
@@ -99,7 +91,6 @@ class SolverOptions:
     seed: int | None = None
     time_limit: float | None = None
     workers: int | None = None
-    distance_cache: Any = None
     oracle: Any = None
     extras: dict[str, Any] = field(default_factory=dict)
 
@@ -184,23 +175,19 @@ def normalize_options(
     method: str,
     options: SolverOptions | Mapping[str, Any] | None = None,
     kwargs: Mapping[str, Any] | None = None,
-    *,
-    warn_legacy: bool = True,
 ) -> SolverOptions:
     """Merge ``options`` and direct keyword arguments for ``method``.
 
     Universal keywords (``seed``, ``time_limit``, ``workers``,
-    ``distance_cache``) override the corresponding ``options`` fields.
-    Solver-specific keywords are accepted as deprecated shims
-    (``DeprecationWarning`` when ``warn_legacy``) and merged into
-    ``extras``.  Anything else raises :class:`~repro.errors.SolverError`
+    ``oracle``) override the corresponding ``options`` fields.  Any
+    other keyword -- a solver-specific one included, which belongs in
+    ``options.extras`` -- raises :class:`~repro.errors.SolverError`
     naming the valid options for ``method``.
     """
     spec = spec_for(method)
     opts = SolverOptions.coerce(options)
-    extras = dict(opts.extras)
 
-    unknown = sorted(set(extras) - spec.extras)
+    unknown = sorted(set(opts.extras) - spec.extras)
     if unknown:
         raise SolverError(
             f"solver {method!r} does not accept extra option(s) "
@@ -210,24 +197,14 @@ def normalize_options(
 
     updates: dict[str, Any] = {}
     for key, value in (kwargs or {}).items():
-        if key in UNIVERSAL_OPTIONS:
-            updates[key] = value
-        elif key in spec.extras:
-            if warn_legacy:
-                warnings.warn(
-                    f"passing {key!r} directly to solve_{method.replace('-', '_')} "
-                    f"is deprecated; use options=SolverOptions(extras="
-                    f"{{{key!r}: ...}}) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            extras[key] = value
-        else:
+        if key not in UNIVERSAL_OPTIONS:
             raise SolverError(
-                f"solver {method!r} got unknown option {key!r}; valid "
-                f"options for {method!r}: {', '.join(valid_options(method))}"
+                f"solver {method!r} got unknown keyword {key!r}; valid "
+                f"options for {method!r}: {', '.join(valid_options(method))} "
+                f"(solver-specific ones go in options=SolverOptions(extras=...))"
             )
-    return replace(opts, extras=extras, **updates)
+        updates[key] = value
+    return replace(opts, **updates)
 
 
 @contextmanager
@@ -237,25 +214,17 @@ def option_scopes(
     """Enter the cross-cutting scopes implied by ``opts``.
 
     ``time_limit`` installs a cooperative :class:`Budget` (clamped to any
-    enclosing budget); ``distance_cache`` installs a distance-cache
-    scope; ``oracle`` (resolved against ``instance.network``, including
-    the ``REPRO_ORACLE`` environment default) installs a distance-oracle
-    scope of the resolved kind.  All are no-ops when unset.
+    enclosing budget); ``oracle`` (resolved against ``instance.network``,
+    including the ``REPRO_ORACLE`` environment default) installs a
+    distance-oracle scope of the resolved kind.  Both are no-ops when
+    unset.
     """
     with ExitStack() as stack:
         if opts.time_limit is not None:
             stack.enter_context(use_budget(Budget(float(opts.time_limit))))
-        cache = opts.distance_cache
-        if cache:
-            # Local import: distcache pulls in the network stack, which
-            # must stay importable without repro.runtime and vice versa.
-            from repro.network import distcache
-
-            if cache is True:
-                cache = distcache.DistanceCache()
-            stack.enter_context(distcache.use(cache))
         if opts.oracle is not False:
-            # Local import for the same layering reason as distcache.
+            # Local import: the oracle pulls in the network stack, which
+            # must stay importable without repro.runtime and vice versa.
             from repro.network import oracle as oracle_mod
 
             resolved = oracle_mod.resolve(

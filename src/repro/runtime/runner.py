@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import BudgetExceeded, ReproError, SolverError
 from repro.obs import metrics, tracing
 from repro.runtime import budget as _budget, faults as _faults
-from repro.runtime.options import SolverOptions, option_scopes, spec_for
+from repro.runtime.options import SolverOptions, spec_for
 
 __all__ = [
     "DEFAULT_CHAINS",
@@ -120,22 +120,15 @@ class ChainResult:
 def _attempt_options(method: str, opts: SolverOptions) -> SolverOptions:
     """Narrow chain-level options to what one attempt should receive.
 
-    Extras belonging to other methods are dropped (an ``exact`` chain's
-    ``mip_gap`` means nothing to ``wma``); ``time_limit`` is stripped
-    because the chain budget, already active, governs every attempt --
-    re-entering it per attempt would reset the clock.  ``distance_cache``
-    is likewise stripped: the runner owns that scope so the cache spans
-    all attempts.
+    Every universal option carries through except ``time_limit``, which
+    is stripped because the chain budget, already active, governs every
+    attempt -- re-entering it per attempt would reset the clock.  Extras
+    belonging to other methods are dropped (an ``exact`` chain's
+    ``mip_gap`` means nothing to ``wma``).
     """
     spec = spec_for(method)
     extras = {k: v for k, v in opts.extras.items() if k in spec.extras}
-    return SolverOptions(
-        seed=opts.seed,
-        time_limit=None,
-        workers=opts.workers,
-        distance_cache=None,
-        extras=extras,
-    )
+    return replace(opts, time_limit=None, extras=extras)
 
 
 def solve_with_fallback(
@@ -278,9 +271,7 @@ def solve_with_fallback(
         raise last_exc
 
     with tracing.span("runtime.chain"):
-        scoped_opts = SolverOptions(distance_cache=opts.distance_cache)
-        with option_scopes(scoped_opts):
-            if limit is not None:
-                with _budget.use(_budget.Budget(float(limit))):
-                    return run_chain()
-            return run_chain()
+        if limit is not None:
+            with _budget.use(_budget.Budget(float(limit))):
+                return run_chain()
+        return run_chain()

@@ -592,9 +592,8 @@ class TestRealTree:
     def test_kernel_read_paths_reach_checkpoints(self):
         calls = project_for(default_root()).calls
         reaching = calls.checkpoint_reaching()
-        # The cache read path is budget-compliant interprocedurally:
-        # lengths -> workspace run -> per-pop checkpoint.
-        assert "network.distcache.DistanceCache.lengths" in reaching
+        # The matrix read path is budget-compliant interprocedurally:
+        # distance_matrix -> workspace run -> per-pop checkpoint.
         assert "network.dijkstra.distance_matrix" in reaching
 
     def test_solvers_registry_feeds_call_graph(self):

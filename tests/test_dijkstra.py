@@ -14,7 +14,6 @@ from repro.network.dijkstra import (
     distance_matrix,
     eccentricity_bound,
     multi_source_lengths,
-    nearest_of,
     shortest_path,
     shortest_path_lengths,
 )
@@ -159,25 +158,6 @@ class TestDistanceMatrix:
                     assert mat[i, j] == pytest.approx(ref[t])
                 else:
                     assert math.isinf(mat[i, j])
-
-
-class TestNearestOf:
-    def test_picks_nearest(self):
-        g = build_line_network(10)
-        assert nearest_of(g, 0, [3, 7]) == (3, pytest.approx(3.0))
-        assert nearest_of(g, 9, [3, 7]) == (7, pytest.approx(2.0))
-
-    def test_source_in_targets(self):
-        g = build_line_network(5)
-        assert nearest_of(g, 2, [2, 4]) == (2, 0.0)
-
-    def test_unreachable_returns_none(self):
-        g = build_two_component_network()
-        assert nearest_of(g, 0, [4]) is None
-
-    def test_empty_targets(self):
-        g = build_line_network(3)
-        assert nearest_of(g, 0, []) is None
 
 
 class TestEccentricity:

@@ -1,13 +1,9 @@
 """Stateful property tests of the dynamic layer.
 
-Hypothesis drives random interleavings of mutations against a model:
-
-* :class:`AllocatorMachine` exercises the legacy
-  :class:`~repro.core.dynamic.DynamicAllocator` facade (arrivals and
-  departures only);
-* :class:`ServeMachine` drives the full typed-mutation API of
-  :class:`~repro.serve.ServeEngine` -- arrivals, departures, capacity
-  re-rates, and edge retimes -- in randomly sized batches.
+Hypothesis drives :class:`ServeMachine` through random interleavings of
+the full typed-mutation API of :class:`~repro.serve.ServeEngine` --
+arrivals, departures, capacity re-rates, and edge retimes -- in randomly
+sized batches.
 
 After every step the engine must be (a) capacity-feasible and (b) --
 whenever ``staleness == "optimal"`` -- cost-equal to a fresh cold
@@ -16,7 +12,6 @@ whenever ``staleness == "optimal"`` -- cost-equal to a fresh cold
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -26,9 +21,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.dynamic import DynamicAllocator
 from repro.core.instance import MCFSInstance
-from repro.errors import MatchingError
 from repro.flow.sspa import assign_all
 from repro.serve import (
     CapacityChange,
@@ -39,71 +32,9 @@ from repro.serve import (
 )
 from tests.conftest import build_grid_network
 
-# The legacy facade under test warns by design.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 GRID = build_grid_network(5, 5)
 FACILITIES = (0, 12, 24)
 CAPACITIES = (3, 3, 3)
-
-
-def optimal_cost(nodes) -> float:
-    if not nodes:
-        return 0.0
-    return assign_all(
-        GRID,
-        list(nodes),
-        list(FACILITIES),
-        list(CAPACITIES),
-    ).cost
-
-
-class AllocatorMachine(RuleBasedStateMachine):
-    @initialize()
-    def setup(self):
-        instance = MCFSInstance(
-            network=GRID,
-            customers=(6,),
-            facility_nodes=FACILITIES,
-            capacities=CAPACITIES,
-            k=3,
-        )
-        self.alloc = DynamicAllocator(instance, [0, 1, 2])
-        self.nodes: dict[int, int] = {0: 6}  # handle -> node
-
-    @rule(node=st.integers(0, 24))
-    def arrive(self, node):
-        if len(self.nodes) >= sum(CAPACITIES):
-            with pytest.raises(MatchingError):
-                self.alloc.add_customer(node)
-            return
-        handle = self.alloc.add_customer(node)
-        self.nodes[handle] = node
-
-    @precondition(lambda self: self.nodes)
-    @rule(pick=st.integers(0, 10_000))
-    def depart(self, pick):
-        handle = sorted(self.nodes)[pick % len(self.nodes)]
-        self.alloc.remove_customer(handle)
-        del self.nodes[handle]
-
-    @invariant()
-    def capacity_feasible(self):
-        loads = self.alloc.load_per_facility()
-        for j, load in loads.items():
-            assert load <= CAPACITIES[j]
-        assert sum(loads.values()) == len(self.nodes)
-
-    @invariant()
-    def cost_is_optimal(self):
-        expected = optimal_cost(list(self.nodes.values()))
-        assert self.alloc.cost == pytest.approx(expected, rel=1e-9)
-
-
-TestAllocatorStateful = AllocatorMachine.TestCase
-TestAllocatorStateful.settings = settings(
-    max_examples=20, stateful_step_count=15, deadline=None
-)
 
 
 class ServeMachine(RuleBasedStateMachine):

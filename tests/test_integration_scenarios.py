@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import solve, validate_solution
+from repro import CustomerArrive, CustomerDepart, ServeEngine, solve, validate_solution
 from repro.bench.solution_stats import compare_solutions, solution_stats
-from repro.core import DynamicAllocator, refine_solution
+from repro.core import refine_solution
 from repro.core.throughput import assign_with_throughput
 from repro.datagen import (
     city_instance,
@@ -24,7 +24,6 @@ from repro.datagen import (
     synth_occupancies,
     weighted_customers,
 )
-from repro.errors import MatchingError
 from repro.io import export_scenario, load_solution, save_solution
 from repro.io.serialization import load_instance, save_instance
 from repro.network.subgraph import giant_component_instance
@@ -94,29 +93,27 @@ class TestFullDynamicPipeline:
         )
         selection = solve(instance, method="wma").selected
 
-        allocator = DynamicAllocator(instance, selection)
+        engine = ServeEngine(instance, selection)
         rng = np.random.default_rng(5)
         events = generate_workload(
             network, rng, hours=12.0, base_rate=2.0, peak_rate=6.0
         )
         handles: dict[int, int] = {}
-        rejected = 0
         for pos, event in enumerate(events):
             if event.kind == "arrival":
-                try:
-                    handles[pos] = allocator.add_customer(event.node)
-                except MatchingError:
-                    rejected += 1
+                outcome = engine.apply([CustomerArrive(event.node)]).outcomes[0]
+                if outcome.status == "applied":
+                    handles[pos] = outcome.handle
             elif event.ref in handles:
-                allocator.remove_customer(handles.pop(event.ref))
+                engine.apply([CustomerDepart(handles.pop(event.ref))])
 
         # System ends consistent: loads, costs, capacity all coherent.
-        loads = allocator.load_per_facility()
-        assert sum(loads.values()) == allocator.n_active
-        assert allocator.residual_capacity() >= 0
-        assert allocator.cost >= 0.0
-        # Every processed event is on the audit trail.
-        assert len(allocator.events) >= len(handles)
+        loads = engine.load_per_facility()
+        assert sum(loads.values()) == engine.n_active
+        assert engine.n_active == instance.m + len(handles)
+        assert engine.residual_capacity() >= 0
+        assert engine.staleness == "optimal"
+        assert engine.cost >= 0.0
 
 
 class TestFragmentedCityWorkflow:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import solve, validate_solution
+from repro import SolverOptions, solve, validate_solution
 from repro.baselines.kmedian_ls import _uncapacitated_cost, solve_kmedian_ls
 from repro.core.instance import MCFSInstance
 from repro.errors import InfeasibleInstanceError
@@ -57,7 +57,9 @@ class TestSolveKMedianLs:
             capacities=(10, 10, 10, 10),
             k=2,
         )
-        sol = solve_kmedian_ls(inst, seed=0, pool_size=8)
+        sol = solve_kmedian_ls(
+            inst, seed=0, options=SolverOptions(extras={"pool_size": 8})
+        )
         validate_solution(inst, sol)
         assert sorted(sol.selected) == [0, 3]
         assert sol.objective == pytest.approx(4.0)
@@ -72,7 +74,9 @@ class TestSolveKMedianLs:
             capacities=(2, 2, 2),
             k=2,
         )
-        sol = solve_kmedian_ls(inst, seed=1, pool_size=4)
+        sol = solve_kmedian_ls(
+            inst, seed=1, options=SolverOptions(extras={"pool_size": 4})
+        )
         validate_solution(inst, sol)
         loads = sol.load_per_facility()
         assert all(

@@ -30,9 +30,6 @@ GOLDEN_COUNTERS = [
     "dijkstra.relaxations",
     "dijkstra.runs",
     "dijkstra.settled",
-    "distcache.evictions",
-    "distcache.hits",
-    "distcache.misses",
     "incremental.edges_materialized",
     "incremental.pops",
     "incremental.relaxations",

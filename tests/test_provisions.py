@@ -50,6 +50,18 @@ class TestSelectGreedy:
         # 0) must receive the next facility.
         assert sorted(padded) == [0, 1]
 
+    def test_unreachable_candidates_fall_back_to_any_open_one(self):
+        # The worst customer (node 3, no facility in its triangle) reaches
+        # no open candidate, so the next unselected index is opened.
+        inst = MCFSInstance(
+            network=build_two_component_network(),
+            customers=(0, 3),
+            facility_nodes=(1, 2, 0),
+            capacities=(5, 5, 5),
+            k=2,
+        )
+        assert select_greedy(inst, [0]) == [0, 1]
+
     def test_noop_when_already_full(self):
         inst = MCFSInstance(
             network=build_line_network(10),

@@ -126,7 +126,7 @@ class TestSolverOptions:
             normalize_options("hilbert", None, {"bogus": 1})
         msg = str(exc.value)
         assert "bogus" in msg and "hilbert" in msg
-        for name in ("seed", "time_limit", "workers", "distance_cache"):
+        for name in ("seed", "time_limit", "workers", "oracle"):
             assert name in msg
 
     def test_unknown_extras_in_options_rejected(self):
@@ -141,10 +141,12 @@ class TestSolverOptions:
         )
         assert opts.seed == 7
 
-    def test_legacy_solver_kwarg_warns_and_forwards(self):
-        with pytest.warns(DeprecationWarning, match="tie_breaking"):
-            opts = normalize_options("wma", None, {"tie_breaking": "cost"})
-        assert opts.extras == {"tie_breaking": "cost"}
+    def test_direct_solver_specific_kwarg_rejected(self):
+        with pytest.raises(SolverError) as exc:
+            normalize_options("wma", None, {"tie_breaking": "cost"})
+        msg = str(exc.value)
+        assert "tie_breaking" in msg and "extras" in msg
+        assert "valid options for 'wma'" in msg
 
     def test_valid_options_include_extras(self):
         assert "mip_gap" in valid_options("exact")
@@ -177,7 +179,7 @@ class TestSignatureConsistency:
             validate_solution(instance, sol)
 
     def test_every_solver_accepts_all_universal_kwargs(self, instance):
-        # seed/workers/time_limit/distance_cache are accepted uniformly,
+        # seed/workers/time_limit/oracle are accepted uniformly,
         # including by solvers that ignore them.
         opts = SolverOptions(seed=0, time_limit=300.0, workers=1)
         for method in SOLVERS:
@@ -271,6 +273,19 @@ class TestFallbackRuntime:
         assert all(r.status != "ok" for r in result.runs[:-1])
         assert reg.as_dict()["runtime.attempts"] == len(result.runs)
         validate_solution(instance, result.solution)
+
+    def test_fallback_attempts_keep_the_oracle(self, instance):
+        # Every universal option but time_limit reaches each attempt, so
+        # the chain solves on oracle streams, not kernel ones.
+        opts = SolverOptions(oracle="alt")
+        reg = metrics.Registry()
+        with metrics.use(reg):
+            result = solve_with_fallback(instance, ["wma"], options=opts)
+        counters = reg.as_dict()
+        assert counters["oracle.streams"] > 0
+        assert counters["incremental.streams"] == 0
+        direct = solve(instance, method="wma", options=opts)
+        assert result.solution.objective == direct.objective
 
     def test_no_budget_no_fallback_meta(self, instance):
         sol = solve(instance, method="wma")

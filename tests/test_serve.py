@@ -227,6 +227,35 @@ class TestEngineArrivals:
         assert engine.customer_nodes() == [6, 18, 13]
         assert set(engine.assignment()) == {0, 1, 2}
 
+    def test_load_and_residual(self):
+        engine = ServeEngine(grid_instance(), [0, 1, 2])
+        assert sum(engine.load_per_facility().values()) == 2
+        assert engine.residual_capacity() == 9 - 2
+        engine.apply([CustomerArrive(13)])
+        assert sum(engine.load_per_facility().values()) == 3
+        assert engine.residual_capacity() == 9 - 3
+
+    def test_arrival_rewires_an_earlier_customer(self):
+        # The newcomer lands on the capacity-1 facility at node 5 held by
+        # the customer at node 6.  Optimal: the newcomer takes it (cost 0)
+        # and the earlier customer moves to node 10 (cost 4), beating the
+        # unchanged assignment plus the newcomer at node 10 (1 + 5).
+        inst = MCFSInstance(
+            network=build_line_network(12),
+            customers=(6,),
+            facility_nodes=(5, 10),
+            capacities=(1, 1),
+            k=2,
+        )
+        engine = ServeEngine(inst, [0, 1])
+        assert engine.facility_of(0) == 0
+        result = engine.apply([CustomerArrive(5)])
+        assert result.moves == 1
+        assert result.repaired_components == 0
+        assert engine.facility_of(0) == 1
+        assert engine.cost == pytest.approx(4.0)
+        assert engine.cost == cold_cost(engine)
+
 
 class TestEngineDepartures:
     def test_departure_repairs_component_scoped(self):
@@ -263,6 +292,38 @@ class TestEngineDepartures:
         assert result.applied == 1
         assert result.staleness == "optimal"
         assert result.repaired_components == 1
+        assert engine.cost == cold_cost(engine)
+
+    def test_departure_frees_capacity(self):
+        engine = ServeEngine(grid_instance(), [0, 1, 2])
+        before = engine.residual_capacity()
+        result = engine.apply([CustomerDepart(0)])
+        assert result.applied == 1
+        assert engine.n_active == 1
+        assert engine.residual_capacity() == before + 1
+        assert sum(engine.load_per_facility().values()) == 1
+
+    def test_second_departure_in_one_batch_rejected(self):
+        # The repeat is rejected before the end-of-batch repair runs, and
+        # the departed handle no longer resolves.
+        engine = ServeEngine(grid_instance(), [0, 1, 2])
+        free = engine.residual_capacity()
+        result = engine.apply([CustomerDepart(0), CustomerDepart(0)])
+        assert [o.status for o in result.outcomes] == ["applied", "rejected"]
+        assert engine.n_active == 1
+        assert engine.residual_capacity() == free + 1
+        assert engine.cost == cold_cost(engine)
+        with pytest.raises(InvalidInstanceError):
+            engine.node_of(0)
+
+    def test_handles_survive_departure_repair(self):
+        engine = ServeEngine(grid_instance(), [0, 1, 2])
+        handle = engine.apply([CustomerArrive(13)]).outcomes[0].handle
+        result = engine.apply([CustomerDepart(0)])
+        assert result.repaired_components == 1
+        assert engine.handles() == [1, handle]
+        assert engine.customer_nodes() == [18, 13]
+        assert set(engine.assignment()) == {1, handle}
         assert engine.cost == cold_cost(engine)
 
     def test_departure_of_unknown_handle_rejected(self):

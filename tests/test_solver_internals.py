@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import validate_solution
+from repro import SolverOptions, validate_solution
 from repro.baselines.exact import solve_exact
 from repro.baselines.hilbert import _component_budgets
 from repro.baselines.wma_naive import _final_greedy_assignment
@@ -27,7 +27,7 @@ class TestExactOptions:
             capacities=(2, 2, 2),
             k=2,
         )
-        sol = solve_exact(inst, mip_gap=0.01)
+        sol = solve_exact(inst, options=SolverOptions(extras={"mip_gap": 0.01}))
         validate_solution(inst, sol)
 
     def test_unused_open_facilities_dropped(self):

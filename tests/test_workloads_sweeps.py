@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.bench.sweeps import aggregate, seeded_sweep
-from repro.core.dynamic import DynamicAllocator
 from repro.datagen.instances import uniform_instance
 from repro.datagen.workloads import (
     WorkloadEvent,
@@ -14,7 +13,7 @@ from repro.datagen.workloads import (
     generate_workload,
     replay,
 )
-from repro.errors import MatchingError
+from repro.serve import CustomerArrive, CustomerDepart, ServeEngine
 from tests.conftest import build_grid_network
 
 
@@ -81,7 +80,7 @@ class TestGenerateWorkload:
         actives = [active for _, active in replay(events)]
         assert actives == [1, 2, 1]
 
-    def test_feeds_dynamic_allocator(self):
+    def test_feeds_serve_engine(self):
         from repro.core.instance import MCFSInstance
 
         g = build_grid_network(6, 6)
@@ -92,19 +91,20 @@ class TestGenerateWorkload:
             capacities=(30, 30, 30),
             k=3,
         )
-        alloc = DynamicAllocator(inst, [0, 1, 2])
+        engine = ServeEngine(inst, [0, 1, 2])
         rng = np.random.default_rng(3)
         events = generate_workload(g, rng, hours=8.0, base_rate=3.0)
         handles: dict[int, int] = {}
         for pos, event in enumerate(events):
             if event.kind == "arrival":
-                try:
-                    handles[pos] = alloc.add_customer(event.node)
-                except MatchingError:
-                    pass
+                outcome = engine.apply([CustomerArrive(event.node)]).outcomes[0]
+                if outcome.status == "applied":
+                    handles[pos] = outcome.handle
             elif event.ref in handles:
-                alloc.remove_customer(handles.pop(event.ref))
-        assert alloc.cost >= 0.0
+                engine.apply([CustomerDepart(handles.pop(event.ref))])
+        assert engine.n_active == 1 + len(handles)
+        assert engine.staleness == "optimal"
+        assert engine.cost >= 0.0
 
 
 class TestSweeps:
