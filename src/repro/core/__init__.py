@@ -19,7 +19,7 @@ from repro.core.demand import DemandPolicy, SelectiveDemandPolicy, UniformDemand
 from repro.core.instance import MCFSInstance
 from repro.core.local_search import RefinementReport, refine_solution, solve_wma_refined
 from repro.core.provisions import cover_components, select_greedy
-from repro.core.set_cover import CoverResult, check_cover
+from repro.core.set_cover import CoverGains, CoverResult, check_cover
 from repro.core.solution import MCFSSolution
 from repro.core.throughput import (
     ThroughputResult,
@@ -46,6 +46,7 @@ __all__ = [
     "DemandPolicy",
     "SelectiveDemandPolicy",
     "UniformDemandPolicy",
+    "CoverGains",
     "CoverResult",
     "check_cover",
     "cover_components",

@@ -4,9 +4,19 @@ After each matching round, WMA asks: do the top-``k`` candidate
 facilities, ranked by *marginal gain* (how many still-uncovered customers
 each would cover through its current ``sigma_j`` assignments), cover every
 customer?  The routine runs the classic lazy-greedy set-cover heuristic:
-facilities sit in a max-heap keyed by a possibly stale gain; a popped
-facility whose gain changed is re-inserted with the fresh value, otherwise
-it is selected.
+facilities are keyed ``(-gain, tie, j)`` by a possibly stale gain; the
+smallest key is popped, and a popped facility whose gain changed is
+re-inserted with the fresh value, otherwise it is selected.
+
+Every check starts with nothing covered, so a facility's starting gain
+is ``|sigma_j|``.  :class:`CoverGains` keeps those sizes bucketed by
+value across checks, and the greedy draws its candidates from it one
+gain level at a time, highest first: a level becomes a heap of its
+facilities' keys only when the greedy reaches it, and is merged with a
+second heap holding the re-inserted stale entries.  Every key is unique
+(it ends in ``j``), so the pops come out in exactly the order one
+max-heap over all facilities would give, while a check touches only the
+levels it visits instead of all ``l`` facilities.
 
 Ties between equal marginal gains are broken in favour of the facility
 selected *least recently* in earlier iterations (Section IV-F) -- the
@@ -50,6 +60,43 @@ class CoverResult:
     fully_covered: bool
 
 
+class CoverGains:
+    """Starting gains ``|sigma_j|``, bucketed by value, kept across checks.
+
+    Attributes
+    ----------
+    size:
+        ``size[j] == len(sigma[j])`` for every facility.
+    buckets:
+        ``gain -> facilities`` with that size; only non-zero sizes have a
+        bucket, and no bucket is empty.
+
+    The owner of ``sigma`` keeps the index exact by calling :meth:`grow`
+    whenever a set gains one member.  An SSPA augmenting path changes
+    ``|sigma_j|`` only at its endpoint -- every facility inside the path
+    loses one customer and gains another -- so WMA calls it once per
+    :func:`repro.flow.sspa.find_pair` return value.
+    """
+
+    def __init__(self, sigma: Sequence[set[int]]) -> None:
+        self.size = [len(s) for s in sigma]
+        self.buckets: dict[int, set[int]] = {}
+        for j, gain in enumerate(self.size):
+            if gain:
+                self.buckets.setdefault(gain, set()).add(j)
+
+    def grow(self, j: int) -> None:
+        """Record that ``sigma_j`` gained one member."""
+        gain = self.size[j]
+        if gain:
+            bucket = self.buckets[gain]
+            bucket.remove(j)
+            if not bucket:
+                del self.buckets[gain]
+        self.size[j] = gain + 1
+        self.buckets.setdefault(gain + 1, set()).add(j)
+
+
 def check_cover(
     sigma: Sequence[set[int]],
     n_customers: int,
@@ -58,6 +105,7 @@ def check_cover(
     *,
     tie_breaking: str = "lru",
     costs: Sequence[float] | None = None,
+    gains: CoverGains | None = None,
 ) -> CoverResult:
     """Greedily select up to ``k`` facilities maximizing customer coverage.
 
@@ -81,6 +129,9 @@ def check_cover(
     costs:
         Per-facility total distance of its ``sigma_j`` edges; required
         for (and only used by) ``tie_breaking="cost"``.
+    gains:
+        The caller's :class:`CoverGains` over ``sigma``, kept exact
+        across checks; built from ``sigma`` when omitted.
 
     Notes
     -----
@@ -93,49 +144,50 @@ def check_cover(
         raise ValueError(f"unknown tie_breaking {tie_breaking!r}")
     if tie_breaking == "cost" and costs is None:
         raise ValueError("tie_breaking='cost' requires the costs argument")
+    if gains is None:
+        gains = CoverGains(sigma)
+    ties = {"lru": last_used, "cost": costs}.get(tie_breaking)
 
-    covered = [False] * n_customers
+    buckets = gains.buckets
+    levels = sorted(buckets, reverse=True)
+    next_level = 0
+    # ``level`` holds the untouched entries of the lowest gain level
+    # reached so far; ``stale`` the re-inserted ones.  Levels below are
+    # loaded only once ``stale`` no longer outranks them.
+    level: list[tuple[int, float, int]] = []
+    stale: list[tuple[int, float, int]] = []
+    covered: set[int] = set()
     selected: list[int] = []
-    n_facilities = len(sigma)
-
-    def tie_key(j: int) -> float:
-        if tie_breaking == "lru":
-            return last_used[j]
-        if tie_breaking == "cost":
-            return float(costs[j])
-        return 0.0
-
-    heap: list[tuple[int, float, int]] = []
-    for j in range(n_facilities):
-        gain = len(sigma[j])
-        if gain > 0:
-            heap.append((-gain, tie_key(j), j))
-    heapq.heapify(heap)
     heap_pops = 0
 
-    n_covered = 0
-    while heap and len(selected) < k:
-        neg_gain, tie, j = heapq.heappop(heap)
+    while len(selected) < k:
+        if not level and next_level < len(levels):
+            gain = levels[next_level]
+            if not stale or -stale[0][0] <= gain:
+                next_level += 1
+                if ties is None:
+                    level = [(-gain, 0.0, j) for j in buckets[gain]]
+                else:
+                    level = [(-gain, ties[j], j) for j in buckets[gain]]
+                heapq.heapify(level)
+        if level and (not stale or level[0] < stale[0]):
+            neg_gain, tie, j = heapq.heappop(level)
+        elif stale:
+            neg_gain, tie, j = heapq.heappop(stale)
+        else:
+            break
         heap_pops += 1
         members = sigma[j]
-        fresh_gain = len(members)
-        for i in members:
-            if covered[i]:
-                fresh_gain -= 1
+        fresh_gain = len(members.difference(covered))
         if fresh_gain == 0:
-            # Neither this nor anything below it in the heap can help if
-            # the stale key was already the maximum and fresh is zero --
-            # but stale keys may over-estimate, so only skip this entry.
+            # Stale keys over-estimate, so only this entry can be dropped.
             continue
         if fresh_gain != -neg_gain:
-            heapq.heappush(heap, (-fresh_gain, tie, j))
+            heapq.heappush(stale, (-fresh_gain, tie, j))
             continue
         selected.append(j)
-        for i in members:
-            if not covered[i]:
-                covered[i] = True
-                n_covered += 1
-        if n_covered == n_customers:
+        covered |= members
+        if len(covered) == n_customers:
             break
 
     reg = metrics.active()
@@ -144,6 +196,6 @@ def check_cover(
     reg.counter("set_cover.selections").add(len(selected))
     return CoverResult(
         selected=selected,
-        covered=covered,
-        fully_covered=all(covered),
+        covered=[i in covered for i in range(n_customers)],
+        fully_covered=len(covered) == n_customers,
     )

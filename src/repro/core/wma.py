@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.demand import DemandPolicy, SelectiveDemandPolicy
 from repro.core.instance import MCFSInstance
 from repro.core.provisions import cover_components, select_greedy
-from repro.core.set_cover import check_cover
+from repro.core.set_cover import CoverGains, check_cover
 from repro.core.solution import MCFSSolution
 from repro.core.validation import check_feasibility
 from repro.errors import BudgetExceeded, MatchingError
@@ -121,6 +121,7 @@ class WMASolver:
         started = time.perf_counter()
         instance = self.instance
         check_feasibility(instance)
+        self.trace = WMATrace()
 
         state = BipartiteState(
             instance.network,
@@ -218,6 +219,7 @@ class WMASolver:
         iteration = 0
         self._selected: list[int] = []
         self._fully_covered = False
+        gains = CoverGains(state.assigned)
 
         while True:
             checkpoint()
@@ -227,7 +229,7 @@ class WMASolver:
                     for i in range(m):
                         while state.assignment_count(i) < demand[i]:
                             try:
-                                find_pair(state, i, self.threshold_rule)  # reprolint: disable=REP112 -- Theorem 1: at most one augmentation per customer; reveals bounded by the WMA analysis
+                                target = find_pair(state, i, self.threshold_rule)  # reprolint: disable=REP112 -- Theorem 1: at most one augmentation per customer; reveals bounded by the WMA analysis
                             except MatchingError:
                                 # No facility with free capacity is
                                 # reachable: freeze this customer's
@@ -235,6 +237,8 @@ class WMASolver:
                                 max_demand[i] = state.assignment_count(i)
                                 demand[i] = max_demand[i]
                                 break
+                            # Only the path's endpoint changes |sigma_j|.
+                            gains.grow(target)
                 t1 = time.perf_counter()
 
                 costs = None
@@ -244,13 +248,14 @@ class WMASolver:
                         for j in range(l)
                     ]
                 with tracing.span("wma.cover"):
-                    cover = check_cover(  # reprolint: disable=REP112 -- Alg. 2 gate: one O(l) cover check per uniform-phase round
+                    cover = check_cover(  # reprolint: disable=REP112 -- Alg. 2 gate: one cover check per round, costing only the gain levels its greedy visits
                         state.assigned,
                         m,
                         k,
                         last_used,
                         tie_breaking=self.tie_breaking,
                         costs=costs,
+                        gains=gains,
                     )
                 t2 = time.perf_counter()
             for j in cover.selected:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.set_cover import check_cover
+from repro.core.set_cover import CoverGains, CoverResult, check_cover
+from repro.obs import metrics
 
 
-def reference_greedy(sigma, m, k, last_used, tie_breaking="lru"):
+def reference_greedy(sigma, m, k, last_used, tie_breaking="lru", costs=None):
     """Straightforward (non-lazy) greedy reference implementation."""
     covered = set()
     selected = []
@@ -20,7 +23,12 @@ def reference_greedy(sigma, m, k, last_used, tie_breaking="lru"):
             gain = len(sigma[j] - covered)
             if gain == 0:
                 continue
-            tie = last_used[j] if tie_breaking == "lru" else 0
+            if tie_breaking == "lru":
+                tie = last_used[j]
+            elif tie_breaking == "cost":
+                tie = costs[j]
+            else:
+                tie = 0
             key = (-gain, tie, j)
             if best_key is None or key < best_key:
                 best, best_key = j, key
@@ -32,6 +40,60 @@ def reference_greedy(sigma, m, k, last_used, tie_breaking="lru"):
         if len(covered) == m:
             break
     return selected, covered
+
+
+def reference_lazy_heap(
+    sigma, n_customers, k, last_used, tie_breaking="lru", costs=None
+):
+    """One lazy max-heap over every facility with a non-empty ``sigma_j``.
+
+    The all-facilities implementation ``check_cover`` replaced; returns
+    its result and its heap-pop count, which the gain-level version must
+    both reproduce exactly.
+    """
+    covered = [False] * n_customers
+    selected = []
+
+    def tie_key(j):
+        if tie_breaking == "lru":
+            return last_used[j]
+        if tie_breaking == "cost":
+            return float(costs[j])
+        return 0.0
+
+    heap = []
+    for j in range(len(sigma)):
+        gain = len(sigma[j])
+        if gain > 0:
+            heap.append((-gain, tie_key(j), j))
+    heapq.heapify(heap)
+    heap_pops = 0
+
+    n_covered = 0
+    while heap and len(selected) < k:
+        neg_gain, tie, j = heapq.heappop(heap)
+        heap_pops += 1
+        members = sigma[j]
+        fresh_gain = len(members)
+        for i in members:
+            if covered[i]:
+                fresh_gain -= 1
+        if fresh_gain == 0:
+            continue
+        if fresh_gain != -neg_gain:
+            heapq.heappush(heap, (-fresh_gain, tie, j))
+            continue
+        selected.append(j)
+        for i in members:
+            if not covered[i]:
+                covered[i] = True
+                n_covered += 1
+        if n_covered == n_customers:
+            break
+    result = CoverResult(
+        selected=selected, covered=covered, fully_covered=all(covered)
+    )
+    return result, heap_pops
 
 
 class TestCheckCover:
@@ -116,15 +178,22 @@ class TestCheckCover:
         assert result.selected[2] == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
     n_fac=st.integers(1, 8),
     m=st.integers(1, 12),
     k=st.integers(1, 8),
+    tie_breaking=st.sampled_from(["lru", "index", "cost"]),
 )
-def test_property_lazy_greedy_matches_reference(data, n_fac, m, k):
-    """The lazy-heap implementation equals plain greedy selection."""
+def test_property_lazy_greedy_matches_reference(
+    data, n_fac, m, k, tie_breaking
+):
+    """Gain-level greedy == lazy heap over all facilities == plain greedy.
+
+    Checked twice per input: with the index built from ``sigma`` and with
+    one grown member by member, in shuffled order, from all-empty.
+    """
     sigma = [
         set(
             data.draw(
@@ -138,8 +207,35 @@ def test_property_lazy_greedy_matches_reference(data, n_fac, m, k):
             st.integers(-1, 5), min_size=n_fac, max_size=n_fac
         )
     )
-    result = check_cover(sigma, m, k, last_used)
-    ref_selected, ref_covered = reference_greedy(sigma, m, k, last_used)
-    assert result.selected == ref_selected
-    assert set(i for i, c in enumerate(result.covered) if c) == ref_covered
-    assert result.fully_covered == (len(ref_covered) == m)
+    # Few distinct values, so cost ties are common.
+    costs = data.draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.25, 3.0]),
+            min_size=n_fac,
+            max_size=n_fac,
+        )
+    )
+    grown = CoverGains([set() for _ in sigma])
+    for j in data.draw(
+        st.permutations([j for j, s in enumerate(sigma) for _ in s])
+    ):
+        grown.grow(j)
+    assert grown.size == [len(s) for s in sigma]
+
+    ref, ref_pops = reference_lazy_heap(
+        sigma, m, k, last_used, tie_breaking, costs
+    )
+    plain_selected, plain_covered = reference_greedy(
+        sigma, m, k, last_used, tie_breaking, costs
+    )
+    assert ref.selected == plain_selected
+    assert {i for i, c in enumerate(ref.covered) if c} == plain_covered
+    for gains in (None, grown):
+        reg = metrics.Registry()
+        with metrics.use(reg):
+            result = check_cover(
+                sigma, m, k, last_used,
+                tie_breaking=tie_breaking, costs=costs, gains=gains,
+            )
+        assert result == ref
+        assert reg.counter("set_cover.heap_pops").value == ref_pops

@@ -7,10 +7,12 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import wma
 from repro.core.demand import UniformDemandPolicy
 from repro.core.instance import MCFSInstance
 from repro.core.validation import validate_solution
 from repro.core.wma import WMASolver, solve_wma, solve_wma_uniform_first
+from repro.datagen.instances import clustered_instance, uniform_instance
 from repro.errors import InfeasibleInstanceError, MatchingError
 from repro.flow.sspa import ThresholdRule, assign_all
 from tests.conftest import (
@@ -88,6 +90,16 @@ class TestBasics:
         assert trace.covered[-1] <= inst.m
         rows = trace.rows()
         assert rows[0]["iteration"] == 1
+
+    def test_second_solve_repeats_the_first(self):
+        solver = WMASolver(uniform_instance(256, seed=0))
+        first = solver.solve()
+        second = solver.solve()
+        assert second.selected == first.selected
+        assert second.objective == first.objective
+        del first.meta["runtime_sec"], second.meta["runtime_sec"]
+        assert second.meta == first.meta
+        assert solver.trace.iterations == second.meta["iterations"]
 
     def test_k_equals_l_selects_all_useful(self):
         inst = MCFSInstance(
@@ -191,6 +203,56 @@ class TestConfigurations:
         b = solve_wma(inst)
         assert a.selected == b.selected
         assert a.objective == pytest.approx(b.objective)
+
+
+@pytest.mark.parametrize(
+    ("build", "options", "raises"),
+    [
+        (lambda: uniform_instance(256, seed=0), {}, False),
+        # Some customers of this instance reach no free facility, so
+        # find_pair raises MatchingError and must leave the index as is.
+        (
+            lambda: clustered_instance(300, seed=3),
+            {"tie_breaking": "cost"},
+            True,
+        ),
+        (lambda: uniform_instance(256, seed=0), {"tie_breaking": "index"}, False),
+        (
+            lambda: uniform_instance(256, seed=0),
+            {"demand_policy": UniformDemandPolicy()},
+            False,
+        ),
+    ],
+    ids=["uniform", "matching-error", "index-ties", "uniform-demand"],
+)
+def test_cover_gains_track_sigma_at_every_check(
+    monkeypatch, build, options, raises
+):
+    """The CoverGains index WMA grows per augmentation never drifts."""
+    real_check_cover, real_find_pair = wma.check_cover, wma.find_pair
+    checks, failures = [], []
+
+    def checked_cover(sigma, *args, gains, **kwargs):
+        assert gains.size == [len(s) for s in sigma]
+        for size, bucket in gains.buckets.items():
+            assert bucket and all(gains.size[j] == size for j in bucket)
+        members = sorted(j for b in gains.buckets.values() for j in b)
+        assert members == [j for j, s in enumerate(sigma) if s]
+        checks.append(len(members))
+        return real_check_cover(sigma, *args, gains=gains, **kwargs)
+
+    def counted_find_pair(state, customer, rule):
+        try:
+            return real_find_pair(state, customer, rule)
+        except MatchingError:
+            failures.append(customer)
+            raise
+
+    monkeypatch.setattr(wma, "check_cover", checked_cover)
+    monkeypatch.setattr(wma, "find_pair", counted_find_pair)
+    solution = WMASolver(build(), **options).solve()
+    assert len(checks) == solution.meta["iterations"]
+    assert bool(failures) == raises
 
 
 class TestUniformFirst:
