@@ -20,13 +20,13 @@ import os
 import time
 
 from repro.analysis import LintEngine, default_root, load_baseline
-from repro.analysis.cache import LintCache
 from repro.analysis.rules import default_rules
 
-#: CI budget for one full-tree lint, in seconds.  The observed cost is
-#: ~3s on a dev container; 30s leaves room for slow shared runners
-#: while still catching a blow-up in the dataflow tier (which would be
-#: super-linear, not a constant factor).
+#: CI budget for one full-tree lint, in seconds.  A cold lint of the
+#: 96-file tree measured a median 2.5s in-process (3.7s through
+#: ``python -m repro.analysis``) on a 2-vCPU VM; 30s leaves room for
+#: slow shared runners while still catching a blow-up in the dataflow
+#: tier (which would be super-linear, not a constant factor).
 LINT_BUDGET_SEC = 30.0
 
 BENCH_ROW_PATH = os.path.join(
@@ -64,52 +64,3 @@ def test_full_tree_lint_within_budget():
 
     assert result.ok, [f.rule for f in result.findings]
     assert wall_sec < LINT_BUDGET_SEC
-
-
-#: Minimum speedup the warm (fingerprint-cache) lint must show over a
-#: cold run of the same tree.  A full-hit warm run skips parsing and
-#: every rule visit -- it only re-reads and re-digests sources -- so the
-#: observed ratio is ~10-20x; 3x is the contract the incremental tier
-#: promises (see docs/dev.md) with headroom for noisy shared runners.
-WARM_SPEEDUP_MIN = 3.0
-
-
-def test_warm_cache_lint_speedup(tmp_path):
-    root = default_root()
-    baseline_path = os.path.join(
-        os.path.dirname(root), "reprolint-baseline.json"
-    )
-    baseline = load_baseline(baseline_path)
-    cache = LintCache(tmp_path / "cache.json")
-
-    started = time.perf_counter()
-    cold = LintEngine(root, rules=default_rules()).run(baseline, cache=cache)
-    cold_sec = time.perf_counter() - started
-
-    started = time.perf_counter()
-    warm = LintEngine(root, rules=default_rules()).run(baseline, cache=cache)
-    warm_sec = time.perf_counter() - started
-
-    speedup = cold_sec / warm_sec if warm_sec > 0 else float("inf")
-    row = {
-        "bench": "lint_runtime_warm_cache",
-        "files": warm.files_scanned,
-        "relinted": warm.relinted_count,
-        "cold_sec": round(cold_sec, 4),
-        "warm_sec": round(warm_sec, 4),
-        "speedup": round(speedup, 2),
-        "speedup_min": WARM_SPEEDUP_MIN,
-    }
-    with open(BENCH_ROW_PATH, "a") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
-    print(
-        f"\nreprolint warm cache: cold {cold_sec:.2f}s -> warm {warm_sec:.3f}s "
-        f"({speedup:.1f}x, floor {WARM_SPEEDUP_MIN:.0f}x), "
-        f"relinted {warm.relinted_count}/{warm.files_scanned} files"
-    )
-
-    # A no-change warm run must re-lint nothing and report identical
-    # findings; the speedup floor is the headline incremental contract.
-    assert warm.relinted_files == []
-    assert [f.key() for f in warm.findings] == [f.key() for f in cold.findings]
-    assert speedup >= WARM_SPEEDUP_MIN

@@ -33,7 +33,14 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.graphs import AnalysisProject, CallGraph
+from repro.analysis.graphs import (
+    AnalysisProject,
+    CallGraph,
+    FuncDef,
+    FunctionSite,
+    owned_nodes,
+    strongly_connected_components,
+)
 
 __all__ = [
     "DEFAULT_CEILING",
@@ -46,6 +53,7 @@ __all__ = [
     "analyze_function",
     "find_budgets_file",
     "load_budgets",
+    "local_loops",
 ]
 
 #: Instance nesting depth allowed on a hot path without a budget entry.
@@ -136,8 +144,6 @@ _COLLECTION_ANNOTATIONS = frozenset(
      "Counter", "defaultdict", "OrderedDict"}
 )
 
-_FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
-
 
 def _final_name(expr: ast.expr) -> str:
     """Last identifier of a Name/Attribute chain, underscores stripped."""
@@ -227,10 +233,12 @@ class _LoopClassifier:
 
     def __init__(
         self,
-        func: _FuncDef,
+        func: FuncDef,
+        owned: list[ast.AST],
         call_oracle: object | None = None,
     ) -> None:
         self.func = func
+        self.owned = owned
         #: ``call_oracle(call) -> bool | None``: whether a call expression
         #: returns instance-sized data (None = unresolved).  The project
         #: level model supplies call-graph knowledge; local rules pass
@@ -251,7 +259,7 @@ class _LoopClassifier:
         changed = True
         while changed:
             changed = False
-            for node in self._owned():
+            for node in self.owned:
                 target: ast.expr | None = None
                 value: ast.expr | None = None
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -272,16 +280,6 @@ class _LoopClassifier:
                     names.add(target.id)
                     changed = True
         return frozenset(names)
-
-    def _owned(self) -> list[ast.AST]:
-        out: list[ast.AST] = []
-        todo: list[ast.AST] = list(ast.iter_child_nodes(self.func))
-        while todo:
-            node = todo.pop()
-            out.append(node)
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                todo.extend(ast.iter_child_nodes(node))
-        return out
 
     def _instance_expr(self, expr: ast.expr, names: set[str]) -> bool:
         """Whether an assigned expression is an instance-sized collection.
@@ -418,7 +416,7 @@ class _LoopClassifier:
     def _returns_instance(self) -> bool:
         if _is_collection_annotation(self.func.returns):
             return True
-        for node in self._owned():
+        for node in self.owned:
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return True
         return False
@@ -498,7 +496,7 @@ class _LoopClassifier:
 
 
 def analyze_function(
-    func: _FuncDef, call_oracle: object | None = None
+    func: FuncDef, call_oracle: object | None = None
 ) -> FunctionLoops:
     """Classify one function's loops without any whole-program context.
 
@@ -506,8 +504,18 @@ def analyze_function(
     verdict; without one, unresolved calls are conservatively
     instance-sized (the same default REP101 uses).
     """
-    classifier = _LoopClassifier(func, call_oracle)
-    return classifier.run()
+    return _LoopClassifier(func, owned_nodes(func), call_oracle).run()
+
+
+def local_loops(site: FunctionSite) -> FunctionLoops:
+    """``site``'s call-oracle-free loop classification, made once per run.
+
+    REP110 and REP111 both read it; unresolved calls count as
+    instance-sized, as in :func:`analyze_function`.
+    """
+    if site.loops is None:
+        site.loops = _LoopClassifier(site.node, site.owned).run()
+    return site.loops
 
 
 @dataclass(frozen=True)
@@ -548,11 +556,13 @@ class CostModel:
         calls = project.calls
         self._locals: dict[str, FunctionLoops] = {}
         for node_id in sorted(calls.functions):
-            func = calls.function_ast(node_id)
-            if func is None:
+            site = calls.function_site(node_id)
+            if site is None:
                 continue
             oracle = self._call_oracle_for(calls, node_id)
-            self._locals[node_id] = analyze_function(func, oracle)
+            self._locals[node_id] = _LoopClassifier(
+                site.node, site.owned, oracle
+            ).run()
         self.summaries: dict[str, CostSummary] = {}
         self._propagate(calls)
         self._hot: set[str] | None = None
@@ -576,12 +586,12 @@ class CostModel:
             if not callees:
                 return None
             for callee in callees:
-                func = calls.function_ast(callee)
-                if func is None:
+                site = calls.function_site(callee)
+                if site is None:
                     continue
-                if _is_collection_annotation(func.returns):
+                if _is_collection_annotation(site.node.returns):
                     return True
-                for node in ast.walk(func):
+                for node in ast.walk(site.node):
                     if isinstance(node, (ast.Yield, ast.YieldFrom)):
                         return True
             # Every resolved callee returns non-collection data.
@@ -591,11 +601,6 @@ class CostModel:
 
     def _propagate(self, calls: CallGraph) -> None:
         """Bottom-up (SCC condensation) interprocedural fixpoint."""
-        order, scc_of = _tarjan_sccs(calls)
-        totals: dict[str, int] = {}
-        dims: dict[str, tuple[str, ...]] = {}
-        via: dict[str, tuple[str, int]] = {}
-        recursive: set[str] = set()
         edges_from: dict[str, list[tuple[str, int]]] = {}
         for edge in calls.edges:
             if edge.kind == "registry":
@@ -603,6 +608,21 @@ class CostModel:
             edges_from.setdefault(edge.caller, []).append(
                 (edge.callee, edge.line)
             )
+        successors = {
+            caller: {callee for callee, _line in sites}
+            for caller, sites in edges_from.items()
+        }
+        order = [
+            frozenset(scc)
+            for scc in strongly_connected_components(
+                sorted(calls.functions), successors
+            )
+        ]
+        scc_of = {member: scc for scc in order for member in scc}
+        totals: dict[str, int] = {}
+        dims: dict[str, tuple[str, ...]] = {}
+        via: dict[str, tuple[str, int]] = {}
+        recursive: set[str] = set()
         for scc in order:  # callees before callers
             if len(scc) > 1:
                 recursive.update(scc)
@@ -748,68 +768,6 @@ class CostModel:
                 lines.append(f'  "{node_id}" -> "{summary.via}";')
         lines.append("}")
         return "\n".join(lines)
-
-
-def _tarjan_sccs(
-    calls: CallGraph,
-) -> tuple[list[frozenset[str]], dict[str, frozenset[str]]]:
-    """Tarjan SCCs of the call graph, callees-first (reverse topological).
-
-    Iterative (the call graph is deeper than Python's recursion limit
-    would like) and deterministic: neighbours are visited in sorted
-    order.
-    """
-    out: dict[str, list[str]] = {}
-    for edge in calls.edges:
-        if edge.kind == "registry":
-            continue
-        out.setdefault(edge.caller, []).append(edge.callee)
-    for key in out:
-        out[key] = sorted(set(out[key]))
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[frozenset[str]] = []
-    counter = 0
-    for root in sorted(calls.functions):
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, child_idx = work.pop()
-            if child_idx == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = out.get(node, ())
-            advanced = False
-            for i in range(child_idx, len(children)):
-                child = children[i]
-                if child not in index:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                sccs.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    scc_of = {member: scc for scc in sccs for member in scc}
-    return sccs, scc_of
 
 
 # ----------------------------------------------------------------------

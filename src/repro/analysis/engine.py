@@ -1,6 +1,7 @@
 """The reprolint engine: tree walking, suppressions, rule dispatch.
 
 The engine parses every ``*.py`` file under one root with :mod:`ast`,
+indexes its functions once (:mod:`repro.analysis.graphs.functions`),
 hands each file to every rule (:class:`~repro.analysis.rules.Rule`), and
 runs a project-wide ``finalize`` pass for cross-file rules (REP001's
 registry reconciliation, REP002's ``SOLVERS`` reachability).  Findings
@@ -17,7 +18,8 @@ Suppression syntax (checked by ``tests/test_reprolint.py``):
 * a trailing ``-- <reason>`` attaches a justification:
   ``# reprolint: disable=REP103 -- memo write, materialized pre-fork``.
   Rules in :data:`JUSTIFIED_RULES` *require* one -- an unjustified
-  directive for them is ignored and the finding still fires.
+  directive for them is ignored and the finding still fires;
+* only comments count: the same text inside a string is not a directive.
 
 Cross-file rules that need the whole-program graphs
 (:mod:`repro.analysis.graphs`) receive an :class:`AnalysisProject`
@@ -29,18 +31,13 @@ from __future__ import annotations
 
 import ast
 import re
+import tokenize
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from repro.analysis.baseline import apply_baseline, load_baseline
-from repro.analysis.cache import (
-    LintCache,
-    dependents_closure,
-    digest_source,
-    run_signature,
-)
 from repro.analysis.findings import Finding, LintResult
-from repro.analysis.graphs import AnalysisProject
+from repro.analysis.graphs import AnalysisProject, index_functions, owned_nodes
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+?)(?:--\s*(\S.*))?$"
@@ -67,7 +64,7 @@ JUSTIFIED_RULES = frozenset(
 )
 
 #: Directories never linted (caches, VCS internals).
-_SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist", ".lint-cache"}
+_SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
 
 class FileContext:
@@ -80,6 +77,14 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=rel)
+        #: Every def in the file with its owned nodes, walked once here
+        #: and read by every rule and graph builder.
+        self.functions = index_functions(self.tree)
+        #: Every node of the file but the module, each once: the nodes
+        #: no def owns, then each def's owned nodes.
+        self.nodes = owned_nodes(self.tree)
+        for site in self.functions:
+            self.nodes.extend(site.owned)
         #: Rule ids disabled for the whole file (may contain ``"all"``).
         self.file_disabled: set[str] = set()
         #: Rule ids disabled per 1-based line number.
@@ -93,8 +98,15 @@ class FileContext:
         self.constants = _module_str_constants(self.tree)
 
     def _scan_suppressions(self) -> None:
-        for lineno, text in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(text)
+        # Directives live in comment tokens only: the same text inside a
+        # string (a docstring showing the syntax) suppresses nothing.
+        if "reprolint:" not in self.source:
+            return
+        lines = iter(self.source.splitlines(keepends=True))
+        for token in tokenize.generate_tokens(lambda: next(lines, "")):
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESS_RE.search(token.string)
             if not match:
                 continue
             rules = {
@@ -103,7 +115,9 @@ class FileContext:
                 if part.strip()
             }
             justified = bool(match.group(2))
-            if text.strip().startswith("#"):
+            lineno, col = token.start
+            if not self.lines[lineno - 1][:col].strip():
+                # Alone on its line: the directive covers the file.
                 self.file_disabled |= rules
                 if justified:
                     self.file_justified |= rules
@@ -181,6 +195,23 @@ class LintEngine:
                 continue
             yield path
 
+    def _parse(self) -> tuple[list[FileContext], list[Finding]]:
+        """Read and parse every file once.
+
+        Returns the parsed files and a REP000 finding for each file that
+        could not be read or parsed.
+        """
+        contexts: list[FileContext] = []
+        errors: list[Finding] = []
+        for path in self._iter_files():
+            rel = path.relative_to(self.root).as_posix()
+            try:
+                source = path.read_text(encoding="utf-8")
+                contexts.append(FileContext(path, rel, source))
+            except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+                errors.append(_parse_error(rel, exc))
+        return contexts, errors
+
     def parse_project(self) -> AnalysisProject:
         """Parse every file and return the whole-program graph bundle.
 
@@ -188,92 +219,27 @@ class LintEngine:
         without running any rules; unparseable files are skipped (the
         lint path reports them as REP000).
         """
-        contexts: list[FileContext] = []
-        for path in self._iter_files():
-            rel = path.relative_to(self.root).as_posix()
-            try:
-                source = path.read_text(encoding="utf-8")
-                contexts.append(FileContext(path, rel, source))
-            except (SyntaxError, UnicodeDecodeError):
-                continue
+        contexts, _errors = self._parse()
         return AnalysisProject(contexts, package=self.root.name)
 
     def run(
-        self,
-        baseline: dict[str, int] | str | Path | None = None,
-        cache: LintCache | None = None,
+        self, baseline: dict[str, int] | str | Path | None = None
     ) -> LintResult:
         """Lint the tree and return a :class:`LintResult`.
 
         ``baseline`` may be a pre-loaded mapping, a path to a baseline
         file, or ``None`` (gate at zero).
-
-        With a ``cache`` (:class:`~repro.analysis.cache.LintCache`), the
-        run is incremental: when no file changed since the cached run
-        (same rule set, same baseline), the stored result is replayed
-        without parsing anything; otherwise unchanged files replay their
-        cached *local*-rule findings while changed files -- and, through
-        the whole-program graphs, every cross-file rule -- are analysed
-        fresh.  Findings are byte-identical to a cold run either way;
-        :attr:`LintResult.relinted_files` records which files were
-        actually re-analysed.
         """
         if isinstance(baseline, (str, Path)):
             baseline = load_baseline(baseline)
         baseline = dict(baseline or {})
 
-        # Phase 0: read sources and fingerprint them.
-        sources: list[tuple[Path, str, str]] = []
-        read_errors: list[Finding] = []
-        for path in self._iter_files():
-            rel = path.relative_to(self.root).as_posix()
-            try:
-                sources.append((path, rel, path.read_text(encoding="utf-8")))
-            except (OSError, UnicodeDecodeError) as exc:
-                read_errors.append(_parse_error(rel, exc))
-        digests = {rel: digest_source(source) for _, rel, source in sources}
-
-        signature = run_signature(
-            [getattr(rule, "id", "?") for rule in self.rules], baseline
-        )
-        root_key = str(self.root.resolve())
-        reusable = cache is not None and cache.usable_for(
-            signature, root_key
-        )
-
-        # Fast path: nothing changed at all -- replay the stored result.
-        if (
-            reusable
-            and not read_errors
-            and cache.file_digests() == digests
-        ):
-            replayed = _result_from_dump(cache.full_result())
-            if replayed is not None:
-                replayed.relinted_files = []
-                return replayed
-
-        cached_digests = cache.file_digests() if reusable else {}
-        changed = {
-            rel
-            for rel in digests
-            if cached_digests.get(rel) != digests[rel]
-        }
-        deleted = set(cached_digests) - set(digests)
-
-        for rule in self.rules:
-            rule.start()
-
         # Phase 1: parse every file (cross-file rules need the whole
         # tree before any finalize runs).
-        contexts: list[FileContext] = []
-        findings: list[Finding] = []
+        contexts, findings = self._parse()
+        for rule in self.rules:
+            rule.start()
         suppressed = 0
-        for path, rel, source in sources:
-            try:
-                contexts.append(FileContext(path, rel, source))
-            except SyntaxError as exc:
-                findings.append(_parse_error(rel, exc))
-        findings.extend(read_errors)
 
         def _keep(ctx: FileContext | None, finding: Finding) -> bool:
             nonlocal suppressed
@@ -286,57 +252,10 @@ class LintEngine:
                 return False
             return True
 
-        # Phase 2: per-file visits.  Local rules (``Rule.local``) carry
-        # no cross-file state, so unchanged files replay their cached
-        # findings; global rules always see every file.
-        local_rules = [
-            rule for rule in self.rules if getattr(rule, "local", False)
-        ]
-        global_rules = [
-            rule for rule in self.rules if not getattr(rule, "local", False)
-        ]
-        file_entries: dict[str, dict[str, object]] = {}
+        # Phase 2: per-file visits.
         for ctx in contexts:
-            for rule in global_rules:
-                findings.extend(
-                    f for f in rule.visit(ctx) if _keep(ctx, f)
-                )
-            replay = (
-                reusable
-                and ctx.rel not in changed
-                and cache.has_entry(ctx.rel)
-            )
-            if replay:
-                cached = cache.local_findings(ctx.rel)
-                replay = cached is not None
-            if replay:
-                findings.extend(cached)
-                n_suppressed = cache.local_suppressed(ctx.rel)
-                suppressed += n_suppressed
-                file_entries[ctx.rel] = {
-                    "findings": [f.as_dict() for f in cached],
-                    "suppressed": n_suppressed,
-                }
-            else:
-                kept: list[Finding] = []
-                n_suppressed = 0
-                for rule in local_rules:
-                    for finding in rule.visit(ctx):
-                        if ctx.is_suppressed(
-                            finding.rule,
-                            finding.line,
-                            require_justification=finding.rule
-                            in JUSTIFIED_RULES,
-                        ):
-                            n_suppressed += 1
-                        else:
-                            kept.append(finding)
-                findings.extend(kept)
-                suppressed += n_suppressed
-                file_entries[ctx.rel] = {
-                    "findings": [f.as_dict() for f in kept],
-                    "suppressed": n_suppressed,
-                }
+            for rule in self.rules:
+                findings.extend(f for f in rule.visit(ctx) if _keep(ctx, f))
 
         # Phase 3: hand the whole-program graphs to rules that want
         # them, then finalize.
@@ -355,34 +274,13 @@ class LintEngine:
 
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         stale = apply_baseline(findings, baseline)
-
-        import_edges = _rel_import_edges(project)
-        relinted: list[str] | None = None
-        if reusable:
-            seeds = changed | deleted
-            closure_edges = dict(cache.import_edges())
-            closure_edges.update(import_edges)
-            affected = seeds | dependents_closure(seeds, closure_edges)
-            relinted = sorted(affected & set(digests))
-
-        result = LintResult(
+        return LintResult(
             root=str(self.root),
             files_scanned=len(contexts),
             findings=findings,
             suppressed=suppressed,
             stale_baseline=stale,
-            relinted_files=relinted,
         )
-        if cache is not None:
-            cache.store(
-                signature=signature,
-                root=root_key,
-                digests=digests,
-                files=file_entries,
-                result=_result_dump(result),
-                imports=import_edges,
-            )
-        return result
 
 
 def _parse_error(rel: str, exc: Exception) -> Finding:
@@ -397,49 +295,6 @@ def _parse_error(rel: str, exc: Exception) -> Finding:
         message=f"file could not be parsed: {exc}",
         hint="reprolint needs every file to parse",
     )
-
-
-def _rel_import_edges(project: AnalysisProject) -> dict[str, list[str]]:
-    """Internal import edges as importer-path -> imported-paths."""
-    imports = project.imports
-    edges: dict[str, set[str]] = {}
-    for edge in imports.internal_edges():
-        src_rel = imports.modules.get(edge.src)
-        dst_rel = imports.modules.get(edge.dst)
-        if src_rel and dst_rel and src_rel != dst_rel:
-            edges.setdefault(src_rel, set()).add(dst_rel)
-    return {src: sorted(dsts) for src, dsts in edges.items()}
-
-
-def _result_dump(result: LintResult) -> dict[str, object]:
-    """JSON-ready form of a result for the cache's full-replay path."""
-    return {
-        "root": result.root,
-        "files_scanned": result.files_scanned,
-        "suppressed": result.suppressed,
-        "stale_baseline": sorted(result.stale_baseline),
-        "findings": [f.as_dict() for f in result.findings],
-    }
-
-
-def _result_from_dump(dump: dict[str, object] | None) -> LintResult | None:
-    """Rebuild a :class:`LintResult` stored by :func:`_result_dump`."""
-    if dump is None:
-        return None
-    try:
-        findings = [
-            Finding(**{k: v for k, v in row.items() if k != "key"})
-            for row in dump["findings"]  # type: ignore[union-attr]
-        ]
-        return LintResult(
-            root=str(dump["root"]),
-            files_scanned=int(dump["files_scanned"]),  # type: ignore[arg-type]
-            findings=findings,
-            suppressed=int(dump["suppressed"]),  # type: ignore[arg-type]
-            stale_baseline=list(dump["stale_baseline"]),  # type: ignore[arg-type]
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 def default_root() -> Path:

@@ -87,17 +87,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     stale_baseline: list[str] = field(default_factory=list)
-    #: Files actually re-analysed this run (``None`` = no cache in play,
-    #: i.e. every scanned file).  A warm incremental run with no edits
-    #: reports ``[]``.
-    relinted_files: list[str] | None = None
-
-    @property
-    def relinted_count(self) -> int:
-        """How many files were re-analysed (all of them without a cache)."""
-        if self.relinted_files is None:
-            return self.files_scanned
-        return len(self.relinted_files)
 
     @property
     def new_findings(self) -> list[Finding]:
@@ -126,7 +115,6 @@ class LintResult:
                 "baselined": len(self.baselined_findings),
                 "suppressed": self.suppressed,
                 "stale_baseline": len(self.stale_baseline),
-                "relinted": self.relinted_count,
                 "ok": self.ok,
             },
             "findings": [f.as_dict() for f in self.findings],

@@ -1,7 +1,8 @@
 """Whole-program graphs for reprolint's cross-file rules.
 
 This subpackage is the interprocedural layer under
-:mod:`repro.analysis.engine`: an import graph (:mod:`.imports`), a
+:mod:`repro.analysis.engine`: the per-file function index
+(:mod:`.functions`), an import graph (:mod:`.imports`), a
 name-resolution call graph (:mod:`.callgraph`), conservative effect
 inference (:mod:`.effects`), and the declared architecture layering
 (:mod:`.layering`).  Everything here is stdlib-only -- the linter must
@@ -45,12 +46,23 @@ from repro.analysis.graphs.effects import (
     EffectAnalysis,
     build_effects,
 )
+from repro.analysis.graphs.functions import (
+    FuncDef,
+    FunctionSite,
+    call_name,
+    checkpoint_callers,
+    dotted_name,
+    index_functions,
+    is_checkpoint_call,
+    owned_nodes,
+)
 from repro.analysis.graphs.imports import (
     ImportEdge,
     ImportGraph,
     SourceModule,
     build_import_graph,
     module_name,
+    strongly_connected_components,
 )
 from repro.analysis.graphs.layering import (
     DEFAULT_RANK,
@@ -79,7 +91,9 @@ __all__ = [
     "DataflowResult",
     "Effect",
     "EffectAnalysis",
+    "FuncDef",
     "FunctionInfo",
+    "FunctionSite",
     "ImportEdge",
     "ImportGraph",
     "LayerViolation",
@@ -88,14 +102,21 @@ __all__ = [
     "build_cfg",
     "build_effects",
     "build_import_graph",
+    "call_name",
     "can_raise",
     "header_nodes",
     "check_layering",
+    "checkpoint_callers",
+    "dotted_name",
     "gen_kill",
+    "index_functions",
+    "is_checkpoint_call",
     "layer_table",
     "module_name",
+    "owned_nodes",
     "rank_of",
     "solve",
+    "strongly_connected_components",
 ]
 
 
@@ -116,10 +137,10 @@ class CFGIndex:
         cached = self._cfgs.get(node_id)
         if cached is not None:
             return cached
-        func = self._calls.function_ast(node_id)
-        if func is None:
+        site = self._calls.function_site(node_id)
+        if site is None:
             return None
-        cfg = build_cfg(func, name=node_id)
+        cfg = build_cfg(site.node, name=node_id)
         self._cfgs[node_id] = cfg
         return cfg
 

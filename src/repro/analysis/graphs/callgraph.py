@@ -33,35 +33,16 @@ import ast
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+from repro.analysis.graphs.functions import (
+    FuncDef,
+    FunctionSite,
+    checkpoint_callers,
+    dotted_name,
+)
 from repro.analysis.graphs.imports import ImportGraph, SourceModule, module_name
 
 #: Virtual caller node modelling ``SOLVERS[method](...)`` dispatch.
 SOLVERS_NODE = "<SOLVERS>"
-
-
-def _dotted(node: ast.expr) -> str:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
-def _call_name(node: ast.Call) -> str:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
-def _is_checkpoint_name(name: str) -> bool:
-    """The lexical checkpoint heuristic shared with REP101."""
-    return "checkpoint" in name or name == "tick"
 
 
 def _annotation_names(annotation: ast.expr | None) -> list[str]:
@@ -86,14 +67,14 @@ def _annotation_names(annotation: ast.expr | None) -> list[str]:
         if isinstance(node, ast.Name):
             names.append(node.id)
         elif isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             if dotted:
                 names.append(dotted)
         elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
             stack.extend([node.left, node.right])
         elif isinstance(node, ast.Subscript):
             base = node.value
-            base_name = _dotted(base) if not isinstance(base, ast.Name) else base.id
+            base_name = dotted_name(base) if not isinstance(base, ast.Name) else base.id
             if base_name.rsplit(".", 1)[-1] == "Optional":
                 stack.append(node.slice)
             # Other generics (list[Network], ...) are containers, not
@@ -168,8 +149,13 @@ class CallGraph:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.edges: list[CallEdge] = []
-        #: function node id -> its AST, for the effect engine.
-        self._defs: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
+        #: function node id -> its function-index entry (AST, owned nodes).
+        self._sites: dict[str, FunctionSite] = {}
+        every_site = [site for source in sources for site in source.functions]
+        self._site_of: dict[ast.AST, FunctionSite] = {
+            site.node: site for site in every_site
+        }
+        _own, self._checkpointing = checkpoint_callers(every_site)
         #: module -> name -> node id of module-level functions.
         self._module_funcs: dict[str, dict[str, str]] = {}
         #: module -> name -> class key of module-level classes.
@@ -193,10 +179,10 @@ class CallGraph:
             self._global_types[module] = table
         # Signature typing for every function FIRST, so cross-module
         # return-annotation inference does not depend on module order.
-        for node_id, func in self._defs.items():
-            self._type_signature(self.functions[node_id], func)
-        for node_id, func in self._defs.items():
-            self._resolve_function(self.functions[node_id], func)
+        for node_id, site in self._sites.items():
+            self._type_signature(self.functions[node_id], site.node)
+        for node_id, site in self._sites.items():
+            self._resolve_function(self.functions[node_id], site.node)
         self._add_registry_edges(trees)
 
     # ------------------------------------------------------------------
@@ -225,7 +211,7 @@ class CallGraph:
                     module=module,
                     name=qual,
                     line=node.lineno,
-                    bases=[b for b in (_dotted(base) for base in node.bases) if b],
+                    bases=[b for b in (dotted_name(base) for base in node.bases) if b],
                 )
                 self.classes[key] = info
                 if not prefix:
@@ -246,7 +232,7 @@ class CallGraph:
     def _index_function(
         self,
         module: str,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
+        node: FuncDef,
         prefix: str,
         class_info: ClassInfo | None,
     ) -> None:
@@ -256,16 +242,12 @@ class CallGraph:
         is_solver_api = False
         for deco in node.decorator_list:
             target = deco.func if isinstance(deco, ast.Call) else deco
-            name = _dotted(target)
+            name = dotted_name(target)
             simple = name.rsplit(".", 1)[-1]
             if simple in ("property", "cached_property"):
                 is_property = True
             if simple == "solver_api":
                 is_solver_api = True
-        direct = any(
-            isinstance(sub, ast.Call) and _is_checkpoint_name(_call_name(sub))
-            for sub in ast.walk(node)
-        )
         info = FunctionInfo(
             node_id=node_id,
             module=module,
@@ -274,11 +256,11 @@ class CallGraph:
             class_key=class_info.class_key if class_info else "",
             is_property=is_property,
             is_public=not node.name.startswith("_"),
-            direct_checkpoint=direct,
+            direct_checkpoint=node in self._checkpointing,
             solver_api=is_solver_api,
         )
         self.functions[node_id] = info
-        self._defs[node_id] = node
+        self._sites[node_id] = self._site_of[node]
         if class_info is not None and prefix == f"{class_info.name}.":
             class_info.methods[node.name] = node_id
             if is_property:
@@ -352,7 +334,7 @@ class CallGraph:
             init_id = info.methods.get("__init__")
             if init_id is None:
                 continue
-            func = self._defs[init_id]
+            func = self._sites[init_id].node
             types: dict[str, str] = {"self": info.class_key}
             for arg in (*func.args.posonlyargs, *func.args.args,
                         *func.args.kwonlyargs):
@@ -392,7 +374,7 @@ class CallGraph:
     # Per-function resolution
     # ------------------------------------------------------------------
     def _type_signature(
-        self, info: FunctionInfo, func: ast.FunctionDef | ast.AsyncFunctionDef
+        self, info: FunctionInfo, func: FuncDef
     ) -> None:
         module = info.module
         args = func.args
@@ -410,7 +392,7 @@ class CallGraph:
         info.return_type = self._annotation_class(module, func.returns)
 
     def _resolve_function(
-        self, info: FunctionInfo, func: ast.FunctionDef | ast.AsyncFunctionDef
+        self, info: FunctionInfo, func: FuncDef
     ) -> None:
         module = info.module
         types: dict[str, str] = {}
@@ -428,19 +410,18 @@ class CallGraph:
             if key:
                 types[arg.arg] = key
 
-        own: list[ast.stmt] = list(func.body)
-        # Single forward pass: assignments refine `types`, every call /
-        # property access becomes an edge.  Nested defs are resolved on
-        # their own (they appear in self._defs), so don't descend.
-        stack: list[ast.AST] = list(func.body)
+        # Single forward pass in source order (pre-order, left to right):
+        # assignments refine `types`, every call / property access
+        # becomes an edge.  Nested defs are resolved on their own (they
+        # appear in self._sites), so don't descend.
+        stack: list[ast.AST] = list(reversed(func.body))
         ordered: list[ast.AST] = []
         while stack:
-            node = stack.pop(0)
+            node = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             ordered.append(node)
-            stack[0:0] = list(ast.iter_child_nodes(node))
-        del own
+            stack.extend(reversed(list(ast.iter_child_nodes(node))))
         for node in ordered:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
@@ -528,7 +509,7 @@ class CallGraph:
             if node_id is not None:
                 return ("func", node_id)
         # module attr: budget.checkpoint(), kernels.workspace_for()
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted:
             owner, _, last = dotted.rpartition(".")
             target_module = self._module_of_chain(module, owner)
@@ -620,9 +601,10 @@ class CallGraph:
     def _bind_args(
         self, callee_id: str, call: ast.Call, types: dict[str, str]
     ) -> tuple[tuple[str, str], ...]:
-        func = self._defs.get(callee_id)
-        if func is None:
+        site = self._sites.get(callee_id)
+        if site is None:
             return ()
+        func = site.node
         params = [a.arg for a in (*func.args.posonlyargs, *func.args.args)]
         callee_info = self.functions.get(callee_id)
         if callee_info is not None and callee_info.class_key and params:
@@ -690,7 +672,7 @@ class CallGraph:
                 if not isinstance(value, ast.Dict):
                     continue
                 for entry in value.values:
-                    dotted = _dotted(entry)
+                    dotted = dotted_name(entry)
                     if not dotted:
                         continue
                     node_id = self.lookup_function("", dotted.rsplit(".", 1)[-1])
@@ -713,11 +695,9 @@ class CallGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def function_ast(
-        self, node_id: str
-    ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        """The AST of a function node (for the effect engine)."""
-        return self._defs.get(node_id)
+    def function_site(self, node_id: str) -> FunctionSite | None:
+        """The function-index entry of a function node (AST, owned nodes)."""
+        return self._sites.get(node_id)
 
     def out_edges(self) -> dict[str, set[str]]:
         """Adjacency ``caller -> {callee}`` (cached)."""

@@ -31,7 +31,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.analysis.graphs.callgraph import CallEdge, CallGraph, _call_name
+from repro.analysis.graphs.callgraph import CallEdge, CallGraph
+from repro.analysis.graphs.functions import call_name
 
 #: Method names treated as in-place container/array mutation.
 MUTATOR_METHODS = frozenset(
@@ -128,10 +129,11 @@ class EffectAnalysis:
         return "unknown", detail
 
     def _extract_direct(self) -> None:
-        for node_id, info in self.callgraph.functions.items():
-            func = self.callgraph.function_ast(node_id)
-            if func is None:
+        for node_id in self.callgraph.functions:
+            site = self.callgraph.function_site(node_id)
+            if site is None:
                 continue
+            func = site.node
             self._current = node_id
             params = {
                 a.arg
@@ -144,26 +146,14 @@ class EffectAnalysis:
             params.discard("self")
             globals_declared: set[str] = set()
             effects: set[Effect] = set()
-            for node in self._owned(func):
+            for node in site.owned:
                 if isinstance(node, ast.Global):
                     globals_declared.update(node.names)
-            for node in self._owned(func):
+            for node in site.owned:
                 self._effects_of_node(
                     node, params, globals_declared, effects
                 )
             self.direct[node_id] = frozenset(effects)
-
-    @staticmethod
-    def _owned(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.AST]:
-        """Walk ``func`` without descending into nested defs."""
-        out: list[ast.AST] = []
-        todo: list[ast.AST] = list(ast.iter_child_nodes(func))
-        while todo:
-            node = todo.pop()
-            out.append(node)
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                todo.extend(ast.iter_child_nodes(node))
-        return out
 
     def _effects_of_node(
         self,
@@ -212,7 +202,7 @@ class EffectAnalysis:
                         )
                     )
         if isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = call_name(node)
             if name in ("open", "print") and isinstance(node.func, ast.Name):
                 effects.add(
                     Effect("io", "unknown", name, node_id, node.lineno)
@@ -292,16 +282,13 @@ class EffectAnalysis:
         if mapped is None:
             return None
         caller_info = self.callgraph.functions[caller]
-        func = self.callgraph.function_ast(caller)
+        site = self.callgraph.function_site(caller)
         caller_params: set[str] = set()
-        if func is not None:
+        if site is not None:
+            args = site.node.args
             caller_params = {
                 a.arg
-                for a in (
-                    *func.args.posonlyargs,
-                    *func.args.args,
-                    *func.args.kwonlyargs,
-                )
+                for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
             }
         if mapped == "self" and caller_info.class_key:
             return effect.rebased("self")

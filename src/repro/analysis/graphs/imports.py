@@ -29,9 +29,11 @@ Resolution handles the package's absolute-import style:
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Protocol
+
+from repro.analysis.graphs.functions import FunctionSite
 
 
 class SourceModule(Protocol):
@@ -39,6 +41,8 @@ class SourceModule(Protocol):
 
     rel: str
     tree: ast.Module
+    #: :func:`~repro.analysis.graphs.functions.index_functions` of ``tree``.
+    functions: list[FunctionSite]
 
 
 def module_name(rel: str) -> str:
@@ -468,57 +472,13 @@ class ImportGraph:
         for edge in self.internal_edges(eager_only=True):
             if edge.src != edge.dst:
                 adjacency.setdefault(edge.src, set()).add(edge.dst)
-        # Iterative Tarjan SCC.
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = 0
         cycles: list[list[str]] = []
-
-        for start in sorted(adjacency):
-            if start in index:
-                continue
-            work: list[tuple[str, Iterator[str]]] = [
-                (start, iter(sorted(adjacency.get(start, ()))))
-            ]
-            index[start] = low[start] = counter
-            counter += 1
-            stack.append(start)
-            on_stack.add(start)
-            while work:
-                node, neighbors = work[-1]
-                advanced = False
-                for nxt in neighbors:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(sorted(adjacency.get(nxt, ())))))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component: list[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    if len(component) > 1:
-                        pivot = component.index(min(component))
-                        cycles.append(
-                            component[pivot:] + component[:pivot]
-                        )
+        for component in strongly_connected_components(
+            sorted(adjacency), adjacency
+        ):
+            if len(component) > 1:
+                pivot = component.index(min(component))
+                cycles.append(component[pivot:] + component[:pivot])
         return sorted(cycles)
 
     # ------------------------------------------------------------------
@@ -562,6 +522,58 @@ class ImportGraph:
             lines.append(f'  "{src}" -> "{dst}" [style={style}];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def strongly_connected_components(
+    nodes: Iterable[str], successors: Mapping[str, Iterable[str]]
+) -> list[list[str]]:
+    """Tarjan's strongly connected components, sinks first.
+
+    Iterative (call graphs nest deeper than the recursion limit likes)
+    and deterministic: roots are taken in the order of ``nodes`` and
+    neighbours in sorted order.  Components come out in reverse
+    topological order -- every component after the ones it reaches --
+    each listing its members in the order they left the Tarjan stack.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+
+    def enter(node: str) -> Iterator[str]:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return iter(sorted(successors.get(node, ())))
+
+    for start in nodes:
+        if start in index:
+            continue
+        work: list[tuple[str, Iterator[str]]] = [(start, enter(start))]
+        while work:
+            node, neighbors = work[-1]
+            for nxt in neighbors:
+                if nxt not in index:
+                    work.append((nxt, enter(nxt)))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component: list[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 def build_import_graph(

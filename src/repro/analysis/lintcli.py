@@ -17,17 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 from repro.analysis.baseline import load_baseline, save_baseline
-from repro.analysis.cache import (
-    LintCache,
-    default_cache_path,
-    dependents_closure,
-)
 from repro.analysis.costmodel import (
     DEFAULT_CEILING,
     CostModel,
@@ -135,30 +129,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "merge base's) and fail if any ceiling appeared or grew -- "
         "budget growth must ride a PR that visibly changes the file",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental result cache (.lint-cache/)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="FILE",
-        help="incremental cache file (default: .lint-cache/cache.json "
-        "beside pyproject.toml)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="only report findings in git-changed files (working tree "
-        "vs HEAD, plus untracked) and their transitive importers",
-    )
-    parser.add_argument(
-        "--since",
-        metavar="REV",
-        default=None,
-        help="like --changed, diffing the working tree against REV",
-    )
 
 
 def _default_baseline_path(root: Path) -> Path | None:
@@ -219,62 +189,6 @@ def budget_ratchet_check(
                 + ("" if module in old else " (new budget entry)")
             )
     return violations
-
-
-def _rel_import_edges_of(engine: LintEngine) -> dict[str, list[str]]:
-    """Importer-path -> imported-paths of the engine's tree (no cache)."""
-    from repro.analysis.engine import _rel_import_edges
-
-    return _rel_import_edges(engine.parse_project())
-
-
-def _git_changed_rels(root: Path, since: str | None) -> set[str] | None:
-    """Root-relative paths of files git considers changed (or None).
-
-    Changed = working tree vs ``since`` (default ``HEAD``), plus
-    untracked files; only paths under the linted root are kept.
-    Returns ``None`` when ``root`` is not inside a git checkout or git
-    fails, so callers can fall back to an unfiltered report.
-    """
-    repo = next(
-        (
-            d
-            for d in (root.resolve(), *root.resolve().parents)
-            if (d / ".git").exists()
-        ),
-        None,
-    )
-    if repo is None:
-        return None
-    names: set[str] = set()
-    commands = [
-        ["git", "diff", "--name-only", since or "HEAD", "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command,
-                cwd=repo,
-                capture_output=True,
-                text=True,
-                check=False,
-                timeout=30,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        names.update(
-            line.strip() for line in proc.stdout.splitlines() if line.strip()
-        )
-    prefix = root.resolve().relative_to(repo).as_posix()
-    prefix = "" if prefix == "." else prefix + "/"
-    return {
-        name[len(prefix) :]
-        for name in names
-        if name.startswith(prefix) or not prefix
-    }
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -384,37 +298,9 @@ def run_from_args(args: argparse.Namespace) -> int:
     else:
         baseline_path = _default_baseline_path(root)
 
-    cache: LintCache | None = None
-    if not args.no_cache:
-        cache_path = (
-            Path(args.cache) if args.cache else default_cache_path(root)
-        )
-        cache = LintCache(cache_path)
-
-    engine = LintEngine(root, rules=rules)
-    result = engine.run(
-        baseline=load_baseline(baseline_path) if baseline_path else None,
-        cache=cache,
+    result = LintEngine(root, rules=rules).run(
+        baseline=load_baseline(baseline_path) if baseline_path else None
     )
-
-    if args.changed or args.since:
-        changed = _git_changed_rels(root, args.since)
-        if changed is None:
-            print(
-                "reprolint: --changed needs a git checkout; "
-                "reporting everything",
-                file=sys.stderr,
-            )
-        else:
-            edges = (
-                cache.import_edges()
-                if cache is not None
-                else _rel_import_edges_of(engine)
-            )
-            affected = changed | dependents_closure(changed, edges)
-            result.findings = [
-                f for f in result.findings if f.path in affected
-            ]
 
     if args.update_baseline:
         target = baseline_path or (root / "reprolint-baseline.json")

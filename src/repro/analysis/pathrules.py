@@ -25,19 +25,18 @@ from repro.analysis.findings import Finding
 from repro.analysis.graphs import (
     CFG,
     DataflowProblem,
+    FuncDef,
+    FunctionSite,
     build_cfg,
+    call_name,
+    dotted_name,
     gen_kill,
     header_nodes,
+    is_checkpoint_call,
     module_name,
     solve,
 )
-from repro.analysis.rules import (
-    Rule,
-    _call_name,
-    _dotted,
-    _iter_functions,
-    _owned_nodes,
-)
+from repro.analysis.rules import Rule
 
 __all__ = [
     "BudgetExceptionSafetyRule",
@@ -46,8 +45,6 @@ __all__ = [
     "ServeStateMachineRule",
     "SetOrderDeterminismRule",
 ]
-
-_FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
 
 
 def _final_name(node: ast.expr | None) -> str:
@@ -97,7 +94,7 @@ class _PathRule(Rule):
         module = module_name(rel)
         return f"{module}.{qual}" if module else qual
 
-    def _cfg_for(self, node_id: str, func: _FuncDef) -> CFG:
+    def _cfg_for(self, node_id: str, func: FuncDef) -> CFG:
         cfg = self.project.cfgs.get(node_id)
         if cfg is None:
             # Function unknown to the call graph (e.g. conditionally
@@ -157,16 +154,16 @@ class MustReleaseResourceRule(_PathRule):
     )
 
     def start(self) -> None:
-        # (rel, node_id, func, [(var, line, kind)])
+        # (rel, node_id, site, [(var, line, kind)])
         self._candidates: list[
-            tuple[str, str, _FuncDef, list[tuple[str, int, str]]]
+            tuple[str, str, FunctionSite, list[tuple[str, int, str]]]
         ] = []
 
     def _acquisition_kind(self, value: ast.expr) -> str | None:
         if not isinstance(value, ast.Call):
             return None
-        dotted = _dotted(value.func)
-        name = _call_name(value)
+        dotted = dotted_name(value.func)
+        name = call_name(value)
         if dotted in self._ACQUIRERS:
             return self._ACQUIRERS[dotted]
         if name in ("SharedMemory", "Pool", "span", "start_span"):
@@ -176,9 +173,9 @@ class MustReleaseResourceRule(_PathRule):
         return None
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        for func, qual, _chain in _iter_functions(ctx.tree):
+        for site in ctx.functions:
             acquisitions: list[tuple[str, int, str]] = []
-            for stmt in _owned_nodes(func):
+            for stmt in site.owned:
                 if not isinstance(stmt, ast.Assign):
                     continue
                 if len(stmt.targets) != 1 or not isinstance(
@@ -192,13 +189,19 @@ class MustReleaseResourceRule(_PathRule):
                     )
             if acquisitions:
                 self._candidates.append(
-                    (ctx.rel, self._node_id(ctx.rel, qual), func, acquisitions)
+                    (
+                        ctx.rel,
+                        self._node_id(ctx.rel, site.qualname),
+                        site,
+                        acquisitions,
+                    )
                 )
         return iter(())
 
     def finalize(self) -> Iterator[Finding]:
-        for rel, node_id, func, acquisitions in self._candidates:
-            escaped = self._escaped_names(func)
+        for rel, node_id, site, acquisitions in self._candidates:
+            func = site.node
+            escaped = self._escaped_names(site.owned)
             tracked = [
                 (var, line, kind)
                 for var, line, kind in acquisitions
@@ -291,7 +294,7 @@ class MustReleaseResourceRule(_PathRule):
         return False
 
     @staticmethod
-    def _escaped_names(func: _FuncDef) -> set[str]:
+    def _escaped_names(owned: list[ast.AST]) -> set[str]:
         """Names whose object leaves the function (ownership transfer)."""
         escaped: set[str] = set()
 
@@ -302,7 +305,7 @@ class MustReleaseResourceRule(_PathRule):
                 if isinstance(node, ast.Name):
                     escaped.add(node.id)
 
-        for node in _owned_nodes(func):
+        for node in owned:
             if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
                 note(node.value)
             elif isinstance(node, ast.Call):
@@ -372,17 +375,18 @@ class BudgetExceptionSafetyRule(_PathRule):
     def start(self) -> None:
         # (rel, node_id, func, try_node, handler)
         self._broad: list[
-            tuple[str, str, _FuncDef, ast.Try, ast.ExceptHandler]
+            tuple[str, str, FuncDef, ast.Try, ast.ExceptHandler]
         ] = []
         # (rel, node_id, func, handler)
         self._salvage: list[
-            tuple[str, str, _FuncDef, ast.ExceptHandler]
+            tuple[str, str, FuncDef, ast.ExceptHandler]
         ] = []
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        for func, qual, _chain in _iter_functions(ctx.tree):
-            node_id = self._node_id(ctx.rel, qual)
-            for stmt in _owned_nodes(func):
+        for site in ctx.functions:
+            func = site.node
+            node_id = self._node_id(ctx.rel, site.qualname)
+            for stmt in site.owned:
                 if not isinstance(stmt, ast.Try):
                     continue
                 budget_shielded = False
@@ -441,7 +445,7 @@ class BudgetExceptionSafetyRule(_PathRule):
     def _budget_region(
         self,
         node_id: str,
-        func: _FuncDef,
+        func: FuncDef,
         try_node: ast.Try,
         reaching: set[str],
     ) -> bool:
@@ -458,13 +462,10 @@ class BudgetExceptionSafetyRule(_PathRule):
         for stmt in try_node.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
-                    name = _call_name(node)
-                    if "checkpoint" in name or name == "tick":
-                        return True
                     # Calling an injected callable (a bare parameter,
                     # e.g. ``solver(instance)``) is budget-opaque: any
                     # registered solver checkpoints.
-                    if (
+                    if is_checkpoint_call(node) or (
                         isinstance(node.func, ast.Name)
                         and node.func.id in params
                     ):
@@ -477,7 +478,7 @@ class BudgetExceptionSafetyRule(_PathRule):
         )
 
     def _unmarked_return(
-        self, node_id: str, func: _FuncDef, handler: ast.ExceptHandler
+        self, node_id: str, func: FuncDef, handler: ast.ExceptHandler
     ) -> int | None:
         """Line of a return reachable from ``handler`` with no marking."""
         cfg = self._cfg_for(node_id, func)
@@ -506,7 +507,7 @@ class BudgetExceptionSafetyRule(_PathRule):
         return None
 
     @staticmethod
-    def _observable_flags(func: _FuncDef) -> set[str]:
+    def _observable_flags(func: FuncDef) -> set[str]:
         """Local names whose value is *read* somewhere in the function."""
         return {
             node.id
@@ -583,13 +584,11 @@ class SetOrderDeterminismRule(Rule):
     )
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        for func, qual, _chain in _iter_functions(ctx.tree):
-            set_vars = self._set_typed_names(func)
+        for site in ctx.functions:
+            func, qual = site.node, site.qualname
+            set_vars = self._set_typed_names(site)
             parents: dict[ast.AST, ast.AST] = {}
-            for parent in ast.walk(func):
-                for child in ast.iter_child_nodes(parent):
-                    parents[child] = parent
-            for node in _owned_nodes(func):
+            for node in site.owned:
                 if isinstance(node, (ast.For, ast.AsyncFor)):
                     if not self._is_set_valued(node.iter, set_vars):
                         continue
@@ -606,13 +605,13 @@ class SetOrderDeterminismRule(Rule):
                         f"(line {sink.lineno})",
                     )
                 elif isinstance(node, ast.Call):
-                    name = _call_name(node)
+                    name = call_name(node)
                     if (
                         name in ("list", "tuple")
                         and isinstance(node.func, ast.Name)
                         and node.args
                         and self._is_set_valued(node.args[0], set_vars)
-                        and not self._order_free_context(node, parents)
+                        and not self._order_free_context(node, func, parents)
                     ):
                         yield self.finding(
                             ctx,
@@ -626,7 +625,7 @@ class SetOrderDeterminismRule(Rule):
                     if any(
                         self._is_set_valued(g.iter, set_vars)
                         for g in node.generators
-                    ) and not self._order_free_context(node, parents):
+                    ) and not self._order_free_context(node, func, parents):
                         yield self.finding(
                             ctx,
                             node.lineno,
@@ -637,16 +636,16 @@ class SetOrderDeterminismRule(Rule):
                         )
 
     @classmethod
-    def _set_typed_names(cls, func: _FuncDef) -> set[str]:
+    def _set_typed_names(cls, site: FunctionSite) -> set[str]:
         names: set[str] = set()
-        for arg in (*func.args.posonlyargs, *func.args.args,
-                    *func.args.kwonlyargs):
+        args = site.node.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             if cls._is_set_annotation(arg.annotation):
                 names.add(arg.arg)
         changed = True
         while changed:
             changed = False
-            for node in _owned_nodes(func):
+            for node in site.owned:
                 target: ast.expr | None = None
                 value: ast.expr | None = None
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -683,7 +682,7 @@ class SetOrderDeterminismRule(Rule):
         ) else ""
         if not text:
             base = ann.value if isinstance(ann, ast.Subscript) else ann
-            text = _dotted(base) if isinstance(
+            text = dotted_name(base) if isinstance(
                 base, (ast.Name, ast.Attribute)
             ) else ""
         text = text.split("[", 1)[0].rsplit(".", 1)[-1]
@@ -697,7 +696,7 @@ class SetOrderDeterminismRule(Rule):
         if isinstance(expr, ast.Name):
             return expr.id in names
         if isinstance(expr, ast.Call):
-            if _call_name(expr) in cls._SET_CALLS:
+            if call_name(expr) in cls._SET_CALLS:
                 return True
             if (
                 isinstance(expr.func, ast.Attribute)
@@ -733,20 +732,25 @@ class SetOrderDeterminismRule(Rule):
                     and node.func.attr in cls._SINK_METHODS
                 ):
                     return node
-                if _call_name(node) in cls._SINK_CALLS:
+                if call_name(node) in cls._SINK_CALLS:
                     return node
         return None
 
     @classmethod
     def _order_free_context(
-        cls, node: ast.AST, parents: dict[ast.AST, ast.AST]
+        cls, node: ast.AST, func: FuncDef, parents: dict[ast.AST, ast.AST]
     ) -> bool:
+        if not parents:
+            # The function's parent links, mapped on its first candidate.
+            for parent in ast.walk(func):
+                for child in ast.iter_child_nodes(parent):
+                    parents[child] = parent
         parent = parents.get(node)
         if isinstance(parent, ast.Call) and node in (
             *parent.args,
             *[k.value for k in parent.keywords],
         ):
-            return _call_name(parent) in cls._ORDER_FREE
+            return call_name(parent) in cls._ORDER_FREE
         # ``for x in (g for ...)`` over a generator is only a hazard if
         # the loop has a sink; the loop check handles that case.
         if isinstance(parent, (ast.For, ast.AsyncFor)) and isinstance(
@@ -798,20 +802,21 @@ class ServeStateMachineRule(_PathRule):
 
     def start(self) -> None:
         # (rel, node_id, func) for ``-> ServeResult`` functions
-        self._result_funcs: list[tuple[str, str, _FuncDef]] = []
+        self._result_funcs: list[tuple[str, str, FuncDef]] = []
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.rel.startswith(self.PREFIX):
             return
-        for func, qual, _chain in _iter_functions(ctx.tree):
+        for site in ctx.functions:
+            func, qual = site.node, site.qualname
             if self._returns_serveresult(func):
                 self._result_funcs.append(
                     (ctx.rel, self._node_id(ctx.rel, qual), func)
                 )
-            frozen_vars = self._frozen_locals(func)
-            for node in _owned_nodes(func):
+            frozen_vars = self._frozen_locals(site)
+            for node in site.owned:
                 if isinstance(node, ast.Call):
-                    if _call_name(node) == self._RESULT:
+                    if call_name(node) == self._RESULT:
                         kwargs = {k.arg for k in node.keywords}
                         if "staleness" not in kwargs and None not in kwargs:
                             yield self.finding(
@@ -822,7 +827,7 @@ class ServeStateMachineRule(_PathRule):
                                 f"{qual}() constructs ServeResult without "
                                 f"an explicit staleness= keyword",
                             )
-                    elif _dotted(node.func) == "object.__setattr__":
+                    elif dotted_name(node.func) == "object.__setattr__":
                         yield self.finding(
                             ctx,
                             node.lineno,
@@ -854,7 +859,7 @@ class ServeStateMachineRule(_PathRule):
                                 f"frozen mutation record",
                             )
 
-    def _returns_serveresult(self, func: _FuncDef) -> bool:
+    def _returns_serveresult(self, func: FuncDef) -> bool:
         ann = func.returns
         if ann is None:
             return False
@@ -862,10 +867,10 @@ class ServeStateMachineRule(_PathRule):
             return ann.value.split("[", 1)[0].strip() == self._RESULT
         return _final_name(ann) == self._RESULT
 
-    def _frozen_locals(self, func: _FuncDef) -> set[str]:
+    def _frozen_locals(self, site: FunctionSite) -> set[str]:
         frozen: set[str] = set()
-        for arg in (*func.args.posonlyargs, *func.args.args,
-                    *func.args.kwonlyargs):
+        args = site.node.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             ann = arg.annotation
             name = ""
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
@@ -876,13 +881,13 @@ class ServeStateMachineRule(_PathRule):
                 )
             if name in self._MUTATION_TYPES:
                 frozen.add(arg.arg)
-        for node in _owned_nodes(func):
+        for node in site.owned:
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
                 and isinstance(node.value, ast.Call)
-                and _call_name(node.value) in self._MUTATION_TYPES
+                and call_name(node.value) in self._MUTATION_TYPES
             ):
                 frozen.add(node.targets[0].id)
         return frozen
@@ -918,7 +923,7 @@ class ServeStateMachineRule(_PathRule):
         # Header-only walk: an ``if`` whose *body* constructs must not
         # credit the branch point itself.
         for node in header_nodes(stmt):
-            if isinstance(node, ast.Call) and _call_name(node) == self._RESULT:
+            if isinstance(node, ast.Call) and call_name(node) == self._RESULT:
                 return True
         # Delegation: ``return self._other_helper(...)`` constructs the
         # result elsewhere; the callee is annotated and checked itself.

@@ -25,9 +25,9 @@ reason behind.
   quadratic blowups actually ship; each such hot-path site needs an
   explicit justification.
 
-REP110/REP111 are *local* (pure per-file) and therefore cacheable by the
-incremental engine; REP109/REP112 are whole-program and re-run on every
-lint.
+REP110/REP111 are per-file and share one loop classification per
+function (:func:`~repro.analysis.costmodel.local_loops`); REP109/REP112
+are whole-program and read the interprocedural summaries.
 """
 
 from __future__ import annotations
@@ -39,20 +39,14 @@ from pathlib import Path
 from repro.analysis.costmodel import (
     DEFAULT_CEILING,
     CostModel,
-    FunctionLoops,
-    analyze_function,
     find_budgets_file,
     load_budgets,
+    local_loops,
 )
 from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
-from repro.analysis.graphs import AnalysisProject, module_name
-from repro.analysis.rules import (
-    BudgetReachabilityRule,
-    Rule,
-    _call_name,
-    _iter_functions,
-)
+from repro.analysis.graphs import AnalysisProject, FuncDef, call_name
+from repro.analysis.rules import BudgetReachabilityRule, Rule
 
 __all__ = [
     "PERF_RULES",
@@ -62,8 +56,6 @@ __all__ = [
     "LoopInvariantAllocRule",
     "cost_model_for",
 ]
-
-_FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
 
 
 def cost_model_for(project: AnalysisProject) -> CostModel:
@@ -140,7 +132,7 @@ def _mutated_names(node: ast.AST) -> set[str]:
     return mutated
 
 
-def _closure_effects(func: _FuncDef) -> dict[str, set[str]]:
+def _closure_effects(func: FuncDef) -> dict[str, set[str]]:
     """Per nested function: names it rebinds or mutates when called.
 
     A loop that calls a locally-defined helper inherits that helper's
@@ -354,14 +346,14 @@ class LoopInvariantAllocRule(Rule):
     severity = "error"
     title = "loop-invariant allocation in instance-sized loop"
     hint = "hoist the allocation above the loop (it never changes)"
-    local = True
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        for func, qual, _chain in _iter_functions(ctx.tree):
-            info = analyze_function(func)
+        for site in ctx.functions:
+            info = local_loops(site)
             if not info.instance_loops():
                 continue
-            effects = _closure_effects(func)
+            qual = site.qualname
+            effects = _closure_effects(site.node)
             seen: set[tuple[int, int]] = set()
             for loop_info in info.instance_loops():
                 loop = loop_info.node
@@ -421,7 +413,7 @@ class LoopInvariantAllocRule(Rule):
                 return "comprehension"
             return None
         if isinstance(value, ast.Call):
-            name = _call_name(value)
+            name = call_name(value)
             if name not in _ALLOC_CALLS or not (
                 value.args or value.keywords
             ):
@@ -459,7 +451,6 @@ class LinearMembershipRule(Rule):
     severity = "error"
     title = "linear membership test in instance-sized loop"
     hint = "convert the probed list/tuple to a set/dict before the loop"
-    local = True
 
     _LINEAR_ANNOTATIONS = frozenset(
         {"list", "List", "tuple", "Tuple", "Sequence", "MutableSequence"}
@@ -467,13 +458,14 @@ class LinearMembershipRule(Rule):
     _LINEAR_CALLS = frozenset({"list", "tuple", "sorted"})
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        for func, qual, _chain in _iter_functions(ctx.tree):
-            info = analyze_function(func)
+        for site in ctx.functions:
+            info = local_loops(site)
             if not any(
                 li.kind == "instance" for li in info.loops
             ):
                 continue
-            linear = self._linear_names(func)
+            qual = site.qualname
+            linear = self._linear_names(site.node)
             seen: set[tuple[int, int]] = set()
             for loop_info in info.instance_loops():
                 loop = loop_info.node
@@ -505,7 +497,7 @@ class LinearMembershipRule(Rule):
                             "every iteration",
                         )
 
-    def _linear_names(self, func: _FuncDef) -> set[str]:
+    def _linear_names(self, func: FuncDef) -> set[str]:
         """Local names provably bound to a list/tuple in ``func``."""
         linear: set[str] = set()
         nonlinear: set[str] = set()
@@ -530,7 +522,7 @@ class LinearMembershipRule(Rule):
                 continue
             if isinstance(value, (ast.List, ast.Tuple, ast.ListComp)) or (
                 isinstance(value, ast.Call)
-                and _call_name(value) in self._LINEAR_CALLS
+                and call_name(value) in self._LINEAR_CALLS
             ):
                 linear.add(target.id)
             else:

@@ -9,7 +9,10 @@ Rules are pluggable: subclass :class:`Rule`, give it an id/severity/
 hint, and add it to :func:`default_rules`.
 
 Per-file state arrives through
-:class:`~repro.analysis.engine.FileContext`; cross-file rules accumulate
+:class:`~repro.analysis.engine.FileContext` -- per-function rules read
+its function index (``ctx.functions``: each def with its owned nodes)
+and whole-file scans read ``ctx.nodes``, never re-walking
+``ctx.tree``; cross-file rules accumulate
 during :meth:`Rule.visit`, receive the whole-program graphs
 (:class:`~repro.analysis.graphs.AnalysisProject`) through
 :meth:`Rule.set_project`, and reconcile in :meth:`Rule.finalize`.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import ast
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.analysis.engine import FileContext
@@ -28,7 +31,10 @@ from repro.analysis.graphs import (
     AnalysisProject,
     CallGraph,
     FunctionInfo,
+    call_name,
     check_layering,
+    checkpoint_callers,
+    dotted_name,
     module_name,
 )
 
@@ -47,10 +53,6 @@ class Rule:
     severity = "error"
     title = ""
     hint = ""
-    #: Pure per-file rules (no cross-file state, no ``finalize``
-    #: findings) set this True; the incremental engine may then replay
-    #: their cached findings for unchanged files.
-    local = False
 
     def start(self) -> None:
         """Reset cross-file state; called once per engine run."""
@@ -97,28 +99,6 @@ class Rule:
 # ----------------------------------------------------------------------
 # AST helpers
 # ----------------------------------------------------------------------
-def _dotted(node: ast.expr) -> str:
-    """Render a Name/Attribute chain as ``a.b.c`` (empty if dynamic)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
-def _call_name(node: ast.Call) -> str:
-    """The final identifier of the called expression (``c`` in ``a.b.c()``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 def _str_value(node: ast.expr, ctx: FileContext) -> str | None:
     """Resolve a string literal or module-level string constant."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -126,41 +106,6 @@ def _str_value(node: ast.expr, ctx: FileContext) -> str | None:
     if isinstance(node, ast.Name):
         return ctx.constants.get(node.id)
     return None
-
-
-_FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
-_FuncItem = tuple[_FuncDef, str, tuple[_FuncDef, ...]]
-
-
-def _iter_functions(tree: ast.Module) -> Iterator[_FuncItem]:
-    """Yield ``(def_node, qualname, enclosing_def_chain)`` for every function."""
-
-    def walk(
-        node: ast.AST, prefix: str, chain: tuple[_FuncDef, ...]
-    ) -> Iterator[_FuncItem]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}"
-                yield child, qual, chain
-                yield from walk(child, f"{qual}.", chain + (child,))
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}{child.name}.", chain)
-            else:
-                yield from walk(child, prefix, chain)
-
-    yield from walk(tree, "", ())
-
-
-def _owned_nodes(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.AST]:
-    """Walk ``func`` without descending into nested function defs."""
-    todo: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while todo:
-        node = todo.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            todo.extend(ast.iter_child_nodes(node))
 
 
 # ----------------------------------------------------------------------
@@ -200,10 +145,10 @@ class ObsNameRegistryRule(Rule):
             self.registry_seen = True
             self._collect_registry(ctx)
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            called = _call_name(node)
+            called = call_name(node)
             if called in ("counter", "gauge", "timer"):
                 if node.args:
                     name = _str_value(node.args[0], ctx)
@@ -333,7 +278,7 @@ class SolverRegistrationRule(Rule):
     def _has_solver_api(node: ast.FunctionDef) -> bool:
         for deco in node.decorator_list:
             target = deco.func if isinstance(deco, ast.Call) else deco
-            name = _dotted(target)
+            name = dotted_name(target)
             if name == "solver_api" or name.endswith(".solver_api"):
                 return True
         return False
@@ -354,7 +299,7 @@ class SolverRegistrationRule(Rule):
             ):
                 values = set()
                 for value in node.value.values:
-                    name = _dotted(value)
+                    name = dotted_name(value)
                     if name:
                         values.add(name.rsplit(".", 1)[-1])
                 self.solvers_values = values
@@ -401,7 +346,7 @@ class WallClockOwnershipRule(Rule):
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.rel.startswith(self.EXEMPT_PREFIXES):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 banned = [
                     a.name
@@ -419,7 +364,7 @@ class WallClockOwnershipRule(Rule):
                     )
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted in self._BANNED_CALLS:
                 yield self.finding(
                     ctx,
@@ -470,7 +415,7 @@ class SeededRandomnessRule(Rule):
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.rel in self.WHITELIST:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith(
@@ -495,7 +440,7 @@ class SeededRandomnessRule(Rule):
                 )
             elif isinstance(node, ast.Call):
                 if (
-                    _call_name(node) == "default_rng"
+                    call_name(node) == "default_rng"
                     and not node.args
                     and not node.keywords
                 ):
@@ -562,21 +507,23 @@ class BudgetReachabilityRule(Rule):
         ):
             return iter(())
         module = module_name(ctx.rel)
-        for func, qual, chain in _iter_functions(ctx.tree):
-            if self._checkpoints(func) or any(
-                self._checkpoints(outer, shallow=True) for outer in chain
-            ):
+        # A function is compliant when it or a def nested in it calls a
+        # checkpoint, or an enclosing def calls one in its own body.
+        own, anywhere = checkpoint_callers(ctx.functions)
+        for site in ctx.functions:
+            if site.node in anywhere or own.intersection(site.chain):
                 continue
-            loop = self._first_hot_loop(func)
+            loop = self._first_hot_loop(site.owned)
             if loop is not None:
+                qual = site.qualname
                 node_id = f"{module}.{qual}" if module else qual
                 self._candidates.append(
                     (
                         ctx.rel,
                         node_id,
                         qual,
-                        func.lineno,
-                        func.col_offset,
+                        site.node.lineno,
+                        site.node.col_offset,
                         loop.lineno,
                     )
                 )
@@ -600,26 +547,10 @@ class BudgetReachabilityRule(Rule):
             )
 
     @classmethod
-    def _checkpoints(
-        cls,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        shallow: bool = False,
-    ) -> bool:
-        nodes: Iterable[ast.AST] = (
-            _owned_nodes(func) if shallow else ast.walk(func)
-        )
-        for node in nodes:
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if "checkpoint" in name or name == "tick":
-                    return True
-        return False
-
-    @classmethod
     def _first_hot_loop(
-        cls, func: ast.FunctionDef | ast.AsyncFunctionDef
+        cls, owned: list[ast.AST]
     ) -> ast.While | ast.For | None:
-        for node in _owned_nodes(func):
+        for node in owned:
             if isinstance(node, ast.While):
                 return node
             if isinstance(node, ast.For) and cls._data_dependent(node.iter):
@@ -636,7 +567,7 @@ class BudgetReachabilityRule(Rule):
         if isinstance(expr, ast.Constant):
             return False
         if isinstance(expr, ast.Call):
-            if _call_name(expr) in cls._BOUNDED_CALLS:
+            if call_name(expr) in cls._BOUNDED_CALLS:
                 return any(cls._data_dependent(a) for a in expr.args)
             return True
         return True
@@ -665,7 +596,8 @@ class MutableDefaultAndBareExceptRule(Rule):
     _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        for func, qual, _chain in _iter_functions(ctx.tree):
+        for site in ctx.functions:
+            func, qual = site.node, site.qualname
             defaults = list(func.args.defaults) + [
                 d for d in func.args.kw_defaults if d is not None
             ]
@@ -679,7 +611,7 @@ class MutableDefaultAndBareExceptRule(Rule):
                         f"{qual}() has a mutable default argument "
                         f"(shared across calls)",
                     )
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.finding(
                     ctx,
@@ -799,7 +731,7 @@ class SharedStateSafetyRule(Rule):
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         module = module_name(ctx.rel)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             for keyword in node.keywords:
@@ -932,7 +864,7 @@ class DeadExportRule(Rule):
         module = module_name(ctx.rel)
         for node in ctx.tree.body:
             self._collect_defs(module, ctx.rel, node)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 self._used.add(node.id)
             elif isinstance(node, ast.Attribute):

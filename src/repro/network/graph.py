@@ -238,7 +238,7 @@ class Network:
             digest.update(self._weights.tobytes())
             # Idempotent memo write over immutable arrays; filled by
             # materialize_caches() before any pool forks.
-            self._fingerprint = digest.hexdigest()  # reprolint: disable=REP103 -- idempotent memo, materialized pre-fork
+            self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
     def materialize_caches(self) -> None:

@@ -231,7 +231,7 @@ class ParallelDistanceEngine:
     def __del__(self) -> None:
         try:
             self.close()
-        except Exception:  # reprolint: disable=REP106 -- __del__ runs during interpreter shutdown and must never raise, not even BudgetExceeded
+        except Exception:  # __del__ may run at interpreter shutdown: never raise
             pass
 
     def close(self) -> None:

@@ -16,8 +16,13 @@ from repro.analysis import (
     load_baseline,
     save_baseline,
 )
+from repro.analysis.engine import FileContext
 from repro.analysis.lintcli import main as lint_main
-from repro.analysis.rules import RULES, default_rules
+from repro.analysis.rules import (
+    RULES,
+    MutableDefaultAndBareExceptRule,
+    default_rules,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REPO_BASELINE = REPO_ROOT / "reprolint-baseline.json"
@@ -554,6 +559,29 @@ class TestEngineMechanics:
         )
         assert [f.path for f in result.findings] == ["core/a.py", "core/b.py"]
 
+    def test_directive_inside_a_string_suppresses_nothing(self, tmp_path):
+        # A docstring line showing the directive syntax is not a comment,
+        # so it must not switch REP006 off for the file.
+        result = run_lint(
+            tmp_path,
+            {
+                "core/x.py": '''
+                    def f():
+                        """Example of the syntax:
+
+                        # reprolint: disable=REP006
+                        """
+
+
+                    def g(x=[]):
+                        return x
+                '''
+            },
+            rules=[MutableDefaultAndBareExceptRule()],
+        )
+        assert rule_ids(result) == ["REP006"]
+        assert result.suppressed == 0
+
 
 class TestBaselineRatchet:
     def test_baselined_finding_passes(self, tmp_path):
@@ -613,11 +641,8 @@ class TestJsonSchema:
             "baselined",
             "suppressed",
             "stale_baseline",
-            "relinted",
             "ok",
         }
-        # Without a cache every scanned file counts as re-linted.
-        assert doc["summary"]["relinted"] == doc["summary"]["files"]
         assert doc["summary"]["ok"] is False
         (finding,) = doc["findings"]
         assert set(finding) == {
@@ -706,24 +731,66 @@ class TestCli:
             assert cls.id in out
 
 
-class TestSelfCheck:
-    """The repo's own source tree must lint clean against its baseline."""
-
-    def test_own_tree_is_clean(self):
-        baseline = (
-            load_baseline(REPO_BASELINE) if REPO_BASELINE.exists() else None
+@pytest.fixture(scope="module")
+def own_tree():
+    """The repo's own tree, linted once as CI does and once with every
+    suppression ignored, shared by the self-check tests below."""
+    baseline = load_baseline(REPO_BASELINE) if REPO_BASELINE.exists() else None
+    result = LintEngine(default_root()).run(baseline)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            FileContext, "is_suppressed", lambda self, *args, **kwargs: False
         )
-        result = LintEngine(default_root()).run(baseline)
+        unsuppressed = LintEngine(default_root()).run()
+    project = LintEngine(default_root(), rules=[]).parse_project()
+    return result, unsuppressed.findings, project.sources
+
+
+class TestSelfCheck:
+    """The repo's own source tree must lint clean against its baseline,
+    with no suppression directive left that suppresses nothing."""
+
+    def test_own_tree_is_clean(self, own_tree):
+        result, _unsuppressed, _sources = own_tree
         assert result.ok, "\n" + result.format_text()
 
-    def test_no_stale_baseline_entries(self):
+    def test_no_stale_baseline_entries(self, own_tree):
         if not REPO_BASELINE.exists():
             pytest.skip("no committed baseline")
-        result = LintEngine(default_root()).run(load_baseline(REPO_BASELINE))
+        result, _unsuppressed, _sources = own_tree
         assert result.stale_baseline == [], (
             "baseline entries with no matching finding -- run "
             "`repro lint --update-baseline` to ratchet down: "
             f"{result.stale_baseline}"
+        )
+
+    def test_every_suppression_suppresses_something(self, own_tree):
+        _result, unsuppressed, sources = own_tree
+        fired = {(f.path, f.rule) for f in unsuppressed}
+        fired_at = {(f.path, f.line, f.rule) for f in unsuppressed}
+        files = {path for path, _rule in fired}
+        stale: list[str] = []
+        for ctx in sources:
+            for rule in sorted(ctx.file_disabled):
+                hit = (
+                    ctx.rel in files
+                    if rule == "all"
+                    else (ctx.rel, rule) in fired
+                )
+                if not hit:
+                    stale.append(f"{ctx.rel} (file-level): {rule}")
+            for line, rules in sorted(ctx.line_disabled.items()):
+                for rule in sorted(rules):
+                    hit = (
+                        any(key[:2] == (ctx.rel, line) for key in fired_at)
+                        if rule == "all"
+                        else (ctx.rel, line, rule) in fired_at
+                    )
+                    if not hit:
+                        stale.append(f"{ctx.rel}:{line}: {rule}")
+        assert stale == [], (
+            "suppression directives that suppress no finding -- delete "
+            f"them: {stale}"
         )
 
     def test_every_rule_registered_and_distinct(self):
