@@ -1,13 +1,13 @@
 """Benchmark: reprolint wall-clock on the repo's own source tree.
 
 The static-analysis CI job runs the full rule set -- including the
-CFG + dataflow tier (REP105..REP108) -- on every push, so its runtime
-is a budget, not a curiosity: the lint must stay interactive.  This
-bench runs the engine exactly as CI does (committed baseline, all
-default rules) and appends a row to ``BENCH_lint.json`` recording the
-file count, the rule count, and the wall-clock, so regressions in the
-path-sensitive tier's cost show up as a trend rather than a surprise
-CI timeout.
+whole-program call graph and the interprocedural cost model -- on
+every push, so its runtime is a budget, not a curiosity: the lint must
+stay interactive.  This bench runs the engine exactly as CI does
+(committed baseline, all default rules) and appends a row to
+``BENCH_lint.json`` recording the file count, the rule count, and the
+wall-clock, so regressions in the whole-program tiers' cost show up as
+a trend rather than a surprise CI timeout.
 
 Run with:
     pytest benchmarks/test_lint_runtime.py -s
@@ -23,10 +23,11 @@ from repro.analysis import LintEngine, default_root, load_baseline
 from repro.analysis.rules import default_rules
 
 #: CI budget for one full-tree lint, in seconds.  A cold lint of the
-#: 96-file tree measured a median 2.5s in-process (3.7s through
+#: 93-file tree measured a median 2.7s in-process (3.7s through
 #: ``python -m repro.analysis``) on a 2-vCPU VM; 30s leaves room for
-#: slow shared runners while still catching a blow-up in the dataflow
-#: tier (which would be super-linear, not a constant factor).
+#: slow shared runners while still catching a blow-up in a
+#: whole-program pass (which would be super-linear, not a constant
+#: factor).
 LINT_BUDGET_SEC = 30.0
 
 BENCH_ROW_PATH = os.path.join(

@@ -25,20 +25,6 @@ from repro.analysis.graphs.callgraph import (
     FunctionInfo,
     build_call_graph,
 )
-from repro.analysis.graphs.cfg import (
-    CFG,
-    BasicBlock,
-    CFGEdge,
-    build_cfg,
-    can_raise,
-    header_nodes,
-)
-from repro.analysis.graphs.dataflow import (
-    DataflowProblem,
-    DataflowResult,
-    gen_kill,
-    solve,
-)
 from repro.analysis.graphs.effects import (
     MUTATION_KINDS,
     MUTATOR_METHODS,
@@ -74,21 +60,15 @@ from repro.analysis.graphs.layering import (
 )
 
 __all__ = [
-    "CFG",
     "DEFAULT_RANK",
     "LAYER_RANKS",
     "MUTATION_KINDS",
     "MUTATOR_METHODS",
     "SOLVERS_NODE",
     "AnalysisProject",
-    "BasicBlock",
-    "CFGEdge",
-    "CFGIndex",
     "CallEdge",
     "CallGraph",
     "ClassInfo",
-    "DataflowProblem",
-    "DataflowResult",
     "Effect",
     "EffectAnalysis",
     "FuncDef",
@@ -99,66 +79,20 @@ __all__ = [
     "LayerViolation",
     "SourceModule",
     "build_call_graph",
-    "build_cfg",
     "build_effects",
     "build_import_graph",
     "call_name",
-    "can_raise",
-    "header_nodes",
     "check_layering",
     "checkpoint_callers",
     "dotted_name",
-    "gen_kill",
     "index_functions",
     "is_checkpoint_call",
     "layer_table",
     "module_name",
     "owned_nodes",
     "rank_of",
-    "solve",
     "strongly_connected_components",
 ]
-
-
-class CFGIndex:
-    """Lazy per-function CFG cache shared by every path-sensitive rule.
-
-    Keys are call-graph node ids (``module.Qual.name``); each CFG is
-    built from the AST the call graph already holds, on first request,
-    so N rules asking about the same function share one build.
-    """
-
-    def __init__(self, calls: CallGraph) -> None:
-        self._calls = calls
-        self._cfgs: dict[str, CFG] = {}
-
-    def get(self, node_id: str) -> CFG | None:
-        """The CFG of ``node_id``, or ``None`` for unknown functions."""
-        cached = self._cfgs.get(node_id)
-        if cached is not None:
-            return cached
-        site = self._calls.function_site(node_id)
-        if site is None:
-            return None
-        cfg = build_cfg(site.node, name=node_id)
-        self._cfgs[node_id] = cfg
-        return cfg
-
-    def node_ids(self) -> list[str]:
-        """Every known function node id (sorted, deterministic)."""
-        return sorted(self._calls.functions)
-
-    def in_module(self, module: str) -> list[str]:
-        """Function node ids defined in ``module`` (sorted)."""
-        return sorted(
-            node_id
-            for node_id, info in self._calls.functions.items()
-            if info.module == module
-        )
-
-    def built(self) -> int:
-        """How many CFGs have actually been constructed (for stats)."""
-        return len(self._cfgs)
 
 
 class AnalysisProject:
@@ -177,7 +111,6 @@ class AnalysisProject:
         self._imports: ImportGraph | None = None
         self._calls: CallGraph | None = None
         self._effects: EffectAnalysis | None = None
-        self._cfgs: CFGIndex | None = None
 
     @property
     def imports(self) -> ImportGraph:
@@ -201,13 +134,6 @@ class AnalysisProject:
         if self._effects is None:
             self._effects = build_effects(self.calls)
         return self._effects
-
-    @property
-    def cfgs(self) -> CFGIndex:
-        """Per-function CFG index (lazy; CFGs built once, shared)."""
-        if self._cfgs is None:
-            self._cfgs = CFGIndex(self.calls)
-        return self._cfgs
 
     def rel_of_module(self, module: str) -> str:
         """Root-relative path of an internal module name."""

@@ -90,21 +90,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="export a whole-program graph instead of linting "
         "(imports: module import graph with layer ranks; calls: "
-        "interprocedural call graph; cfg: per-function control-flow "
-        "graphs with exception edges)",
+        "interprocedural call graph)",
     )
     parser.add_argument(
         "--graph-format",
         choices=GRAPH_FORMATS,
         default="json",
         help="graph export format (json or GraphViz dot)",
-    )
-    parser.add_argument(
-        "--graph-function",
-        default="",
-        metavar="SUBSTR",
-        help="with --graph cfg: only render functions whose node id "
-        "(module.Qual.name) contains this substring",
     )
     parser.add_argument(
         "--ratchet-check",
@@ -207,12 +199,7 @@ def run_from_args(args: argparse.Namespace) -> int:
 
     if args.graph:
         project = LintEngine(root, rules=[]).parse_project()
-        report = render_graph(
-            project,
-            args.graph,
-            args.graph_format,
-            function=getattr(args, "graph_function", ""),
-        )
+        report = render_graph(project, args.graph, args.graph_format)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(report + "\n")

@@ -1,12 +1,13 @@
-"""Path-sensitive reprolint rules (REP105..REP108) over per-function CFGs.
+"""Path rules (REP105..REP108): invariants that must hold on every path.
 
-These rules ride the third analysis tier
-(:mod:`repro.analysis.graphs.cfg` + :mod:`~repro.analysis.graphs.dataflow`):
-candidates are collected cheaply during per-file :meth:`Rule.visit`, and
-the expensive CFG/dataflow work happens once in :meth:`Rule.finalize`,
-against CFGs built on demand and shared through
-``AnalysisProject.cfgs`` -- a function examined by three rules is
-translated to a CFG exactly once.
+Each rule reads the function index (``FileContext.functions``).
+REP105, REP106's salvage clause and REP108's all-paths clause read a
+function's own statement lists -- the statement after an acquisition,
+a handler's statements in order, the statement a body ends on.  Each
+accepts only shapes whose every path is plain from statement order, so
+no control-flow graph is built.  REP106's broad-handler clause resolves
+calls through the whole-program call graph in :meth:`Rule.finalize`;
+REP107 and the rest of REP108 are lexical.
 
 All four are **error** severity and their suppressions require a
 ``-- <reason>`` justification (:data:`repro.analysis.engine.JUSTIFIED_RULES`):
@@ -23,18 +24,12 @@ from collections.abc import Iterator
 from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.graphs import (
-    CFG,
-    DataflowProblem,
     FuncDef,
     FunctionSite,
-    build_cfg,
     call_name,
     dotted_name,
-    gen_kill,
-    header_nodes,
     is_checkpoint_call,
     module_name,
-    solve,
 )
 from repro.analysis.rules import Rule
 
@@ -45,6 +40,13 @@ __all__ = [
     "ServeStateMachineRule",
     "SetOrderDeterminismRule",
 ]
+
+#: Statements that carry statement lists of their own, or run none of
+#: their body on the spot (nested ``def``/``class``).
+_COMPOUND = (
+    ast.If, ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith,
+    ast.Try, ast.Match, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+)
 
 
 def _final_name(node: ast.expr | None) -> str:
@@ -69,10 +71,11 @@ def _exception_names(node: ast.expr | None) -> set[str]:
     return {name} if name else set()
 
 
-def _always_raises(body: list[ast.stmt]) -> bool:
+def _always_leaves(body: list[ast.stmt], *, returns: bool = False) -> bool:
     """Whether every path through ``body`` ends in a ``raise`` (structural).
 
-    Conservative: only straight ``raise`` statements and fully-raising
+    With ``returns``, a ``return`` ends a path too.  Conservative: only
+    top-level ``raise``/``return`` statements and fully-leaving
     ``if``/``else`` splits count; anything it cannot prove is treated as
     falling through.
     """
@@ -80,52 +83,70 @@ def _always_raises(body: list[ast.stmt]) -> bool:
         if isinstance(stmt, ast.Raise):
             return True
         if isinstance(stmt, ast.Return):
-            return False
+            return returns
         if isinstance(stmt, ast.If) and stmt.orelse:
-            if _always_raises(stmt.body) and _always_raises(stmt.orelse):
+            if _always_leaves(stmt.body, returns=returns) and _always_leaves(
+                stmt.orelse, returns=returns
+            ):
                 return True
     return False
 
 
-class _PathRule(Rule):
-    """Shared plumbing: candidate functions keyed by call-graph node id."""
+def _blocks(
+    body: list[ast.stmt], trys: tuple[ast.Try, ...] = ()
+) -> Iterator[tuple[list[ast.stmt], tuple[ast.Try, ...]]]:
+    """Every statement list under ``body``, with the ``try``s enclosing it.
 
-    def _node_id(self, rel: str, qual: str) -> str:
-        module = module_name(rel)
-        return f"{module}.{qual}" if module else qual
+    Nested ``def`` and ``class`` bodies are left out: they do not run as
+    part of the function.
+    """
+    yield body, trys
+    for stmt in body:
+        inner = (*trys, stmt) if isinstance(stmt, ast.Try) else trys
+        for sub in _sub_blocks(stmt):
+            if sub:
+                yield from _blocks(sub, inner)
 
-    def _cfg_for(self, node_id: str, func: FuncDef) -> CFG:
-        cfg = self.project.cfgs.get(node_id)
-        if cfg is None:
-            # Function unknown to the call graph (e.g. conditionally
-            # defined); build privately rather than skip.
-            cfg = build_cfg(func, name=node_id)
-        return cfg
+
+def _sub_blocks(stmt: ast.stmt) -> list[list[ast.stmt]]:
+    """The statement lists a compound statement runs in place."""
+    if isinstance(stmt, ast.Try):
+        return [
+            stmt.body,
+            *(handler.body for handler in stmt.handlers),
+            stmt.orelse,
+            stmt.finalbody,
+        ]
+    if isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While)):
+        return [stmt.body, stmt.orelse]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [stmt.body]
+    if isinstance(stmt, ast.Match):
+        return [case.body for case in stmt.cases]
+    return []
 
 
 # ----------------------------------------------------------------------
 # REP105 -- must-release resource lifecycle
 # ----------------------------------------------------------------------
-class MustReleaseResourceRule(_PathRule):
+class MustReleaseResourceRule(Rule):
     """Locally-owned resources must be released on *every* path.
 
     A ``SharedMemory`` segment, process pool, opened file/``.npz``
-    handle, or tracer span acquired into a local variable must reach a
-    release call (``close``/``unlink``/``terminate``/``join``/...) on
-    all paths out of the function -- including the exception edges the
-    CFG threads from every raising statement.  The serving stack keeps
-    these objects alive across batches, so one exception-path leak per
-    request is an unbounded leak under traffic.
+    handle, or tracer span acquired into a local variable must be
+    guarded by the very next statement of its block: a ``with`` that
+    enters it, a ``try`` whose ``finally:`` releases it first thing, or
+    a top-level release call (``close``/``unlink``/``terminate``/
+    ``join``/...).  Any statement in between may raise past the
+    release.  The serving stack keeps these objects alive across
+    batches, so one exception-path leak per request is an unbounded
+    leak under traffic.
 
-    The analysis is a forward **may**-outstanding dataflow: acquisition
-    gens an obligation, a release (or entering the object in a ``with``
-    item) kills it, and the exception edge out of the acquisition
-    statement itself carries nothing (if the constructor raised, there
-    is nothing to free).  An obligation that *may* reach ``exit`` or
-    ``raise_exit`` is a finding.  Objects that escape the function --
-    passed to a call, returned/yielded, stored on an attribute or into
-    a container, aliased -- transfer ownership and are exempt, as is
-    anything managed by ``with``.
+    The finding names "an exception path" when a later statement of
+    the block does release or guard the object, and "a normal return
+    path" when none does.  Objects that escape the function -- passed
+    to a call, returned/yielded, stored on an attribute or into a
+    container, aliased -- transfer ownership and are exempt.
     """
 
     id = "REP105"
@@ -153,12 +174,6 @@ class MustReleaseResourceRule(_PathRule):
          "end", "stop", "__exit__"}
     )
 
-    def start(self) -> None:
-        # (rel, node_id, site, [(var, line, kind)])
-        self._candidates: list[
-            tuple[str, str, FunctionSite, list[tuple[str, int, str]]]
-        ] = []
-
     def _acquisition_kind(self, value: ast.expr) -> str | None:
         if not isinstance(value, ast.Call):
             return None
@@ -174,124 +189,71 @@ class MustReleaseResourceRule(_PathRule):
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         for site in ctx.functions:
-            acquisitions: list[tuple[str, int, str]] = []
-            for stmt in site.owned:
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                if len(stmt.targets) != 1 or not isinstance(
-                    stmt.targets[0], ast.Name
-                ):
-                    continue
-                kind = self._acquisition_kind(stmt.value)
-                if kind is not None:
-                    acquisitions.append(
-                        (stmt.targets[0].id, stmt.lineno, kind)
-                    )
-            if acquisitions:
-                self._candidates.append(
-                    (
-                        ctx.rel,
-                        self._node_id(ctx.rel, site.qualname),
-                        site,
-                        acquisitions,
-                    )
-                )
-        return iter(())
-
-    def finalize(self) -> Iterator[Finding]:
-        for rel, node_id, site, acquisitions in self._candidates:
             func = site.node
-            escaped = self._escaped_names(site.owned)
-            tracked = [
-                (var, line, kind)
-                for var, line, kind in acquisitions
-                if var not in escaped
-            ]
-            if not tracked:
-                continue
-            cfg = self._cfg_for(node_id, func)
-            facts = {
-                (var, line): kind for var, line, kind in tracked
-            }
-            gen: dict[int, frozenset[object]] = {}
-            kill: dict[int, frozenset[object]] = {}
-            for stmt, block in cfg.block_of_stmt.items():
-                gens = frozenset(
-                    key
-                    for key in facts
-                    if self._acquires_here(stmt, key)
-                )
-                if gens:
-                    gen[block] = gen.get(block, frozenset()) | gens
-                kills = frozenset(
-                    key for key in facts if self._releases(stmt, key[0])
-                )
-                if kills:
-                    kill[block] = kill.get(block, frozenset()) | kills
-            result = solve(
-                cfg, DataflowProblem(flow=gen_kill(gen, kill))
-            )
-            leaked_exit = result.value_into(cfg.exit)
-            leaked_raise = result.value_into(cfg.raise_exit)
-            for key in sorted(facts, key=lambda k: (k[1], k[0])):
-                var, line = key
-                kind = facts[key]
-                if key in leaked_exit:
-                    where = "a normal return path"
-                elif key in leaked_raise:
-                    where = "an exception path"
-                else:
-                    continue
-                yield self.finding(
-                    rel,
-                    line,
-                    0,
-                    f"{func.name}.{var}",
-                    f"{kind} {var!r} acquired here may leave "
-                    f"{func.name}() unreleased along {where}",
-                )
+            escaped: set[str] | None = None
+            for stmts, _ in _blocks(func.body):
+                for i, stmt in enumerate(stmts):
+                    if not (
+                        isinstance(stmt, ast.Assign)
+                        and len(stmt.targets) == 1
+                        and isinstance(stmt.targets[0], ast.Name)
+                    ):
+                        continue
+                    kind = self._acquisition_kind(stmt.value)
+                    if kind is None:
+                        continue
+                    var = stmt.targets[0].id
+                    if escaped is None:
+                        escaped = self._escaped_names(site.owned)
+                    if var in escaped:
+                        continue
+                    guarded = [self._guards(s, var) for s in stmts[i + 1 :]]
+                    if guarded and guarded[0]:
+                        continue
+                    where = (
+                        "an exception path"
+                        if any(guarded)
+                        else "a normal return path"
+                    )
+                    yield self.finding(
+                        ctx,
+                        stmt.lineno,
+                        0,
+                        f"{func.name}.{var}",
+                        f"{kind} {var!r} acquired here may leave "
+                        f"{func.name}() unreleased along {where}",
+                    )
 
-    def _acquires_here(
-        self, stmt: ast.stmt, key: tuple[str, int]
-    ) -> bool:
-        var, line = key
-        return (
-            isinstance(stmt, ast.Assign)
-            and stmt.lineno == line
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == var
-        )
+    def _guards(self, stmt: ast.stmt, var: str) -> bool:
+        """Whether ``stmt`` releases ``var`` on every path through it.
+
+        That is a top-level release call, a ``with`` that enters it
+        (``with shm:`` / ``with closing(shm):``), or a ``try`` whose
+        ``finally:`` starts with a release call.
+        """
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            return any(
+                isinstance(node, ast.Name) and node.id == var
+                for item in stmt.items
+                for node in ast.walk(item.context_expr)
+            )
+        if isinstance(stmt, ast.Try):
+            return bool(stmt.finalbody) and self._releases(
+                stmt.finalbody[0], var
+            )
+        return self._releases(stmt, var)
 
     def _releases(self, stmt: ast.stmt, var: str) -> bool:
-        # Only the block's own effects count: walking the whole subtree
-        # of an ``if`` header would credit a release that happens on
-        # just one branch to the branch point itself.
-        for node in header_nodes(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == var
-                and node.func.attr in self._RELEASES
-            ):
-                return True
-        # ``with shm:`` / ``with closing(shm):`` manage the release.
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                for node in ast.walk(item.context_expr):
-                    if isinstance(node, ast.Name) and node.id == var:
-                        return True
-        # Rebinding the name ends the tracked object's window.
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id == var:
-                    return True
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id == var:
-                    return True
-        return False
+        """Whether ``stmt`` is a simple statement calling ``var.close()``
+        (or another release method)."""
+        return not isinstance(stmt, _COMPOUND) and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == var
+            and node.func.attr in self._RELEASES
+            for node in ast.walk(stmt)
+        )
 
     @staticmethod
     def _escaped_names(owned: list[ast.AST]) -> set[str]:
@@ -334,7 +296,7 @@ class MustReleaseResourceRule(_PathRule):
 # ----------------------------------------------------------------------
 # REP106 -- exception-safety of budget paths
 # ----------------------------------------------------------------------
-class BudgetExceptionSafetyRule(_PathRule):
+class BudgetExceptionSafetyRule(Rule):
     """Budget-checkpointed regions must not swallow ``BudgetExceeded``.
 
     The deadline runtime is cooperative end to end: a checkpoint raises
@@ -349,13 +311,16 @@ class BudgetExceptionSafetyRule(_PathRule):
       ``SolverError``/``ReproError``) or must itself re-raise on every
       path (structural check).
     * A handler that catches ``BudgetExceeded`` *by name* and salvages
-      (does not always re-raise) must mark degradation before any
-      return: on every CFG path from the handler entry to a ``return``,
-      either ``...["degraded"] = ...`` runs, an attribute is stored, or
-      a flag read elsewhere in the function is set.  Forward
-      may-analysis: the "caught, unmarked" fact is genned at the
-      handler entry and killed by a marking statement; a fact reaching
-      a return block is a silent salvage.
+      (does not always re-raise) must mark degradation in one of its
+      own top-level statements -- ``...["degraded"] = ...``, an
+      attribute store, or setting a flag read elsewhere in the
+      function -- and no statement before the marking may ``return``,
+      ``break`` or ``continue``.  When the ``try`` has a ``finally:``
+      or sits inside another ``try``, an exception raised before the
+      marking could itself be caught on the way to a ``return``, so
+      the marking must come first.  The finding points at the first
+      statement that may leave unmarked, or at the handler when its
+      body never marks.
     """
 
     id = "REP106"
@@ -377,15 +342,13 @@ class BudgetExceptionSafetyRule(_PathRule):
         self._broad: list[
             tuple[str, str, FuncDef, ast.Try, ast.ExceptHandler]
         ] = []
-        # (rel, node_id, func, handler)
-        self._salvage: list[
-            tuple[str, str, FuncDef, ast.ExceptHandler]
-        ] = []
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
+        module = module_name(ctx.rel)
         for site in ctx.functions:
             func = site.node
-            node_id = self._node_id(ctx.rel, site.qualname)
+            node_id = f"{module}.{site.qualname}" if module else site.qualname
+            salvages = False
             for stmt in site.owned:
                 if not isinstance(stmt, ast.Try):
                     continue
@@ -393,12 +356,7 @@ class BudgetExceptionSafetyRule(_PathRule):
                 for handler in stmt.handlers:
                     names = _exception_names(handler.type)
                     if names & self._BUDGET_NAMES:
-                        if "BudgetExceeded" in names and not _always_raises(
-                            handler.body
-                        ):
-                            self._salvage.append(
-                                (ctx.rel, node_id, func, handler)
-                            )
+                        salvages |= self._salvages(handler)
                         budget_shielded = True
                         continue
                     is_broad = handler.type is None or bool(
@@ -406,12 +364,48 @@ class BudgetExceptionSafetyRule(_PathRule):
                     )
                     if not is_broad or budget_shielded:
                         continue
-                    if _always_raises(handler.body):
+                    if _always_leaves(handler.body):
                         continue
                     self._broad.append(
                         (ctx.rel, node_id, func, stmt, handler)
                     )
-        return iter(())
+            if salvages:
+                yield from self._silent_salvages(ctx, site)
+
+    @staticmethod
+    def _salvages(handler: ast.ExceptHandler) -> bool:
+        return "BudgetExceeded" in _exception_names(
+            handler.type
+        ) and not _always_leaves(handler.body)
+
+    def _silent_salvages(
+        self, ctx: FileContext, site: FunctionSite
+    ) -> Iterator[Finding]:
+        func = site.node
+        flag_names = self._observable_flags(func)
+        for stmts, trys in _blocks(func.body):
+            for stmt in stmts:
+                if not isinstance(stmt, ast.Try):
+                    continue
+                exposed = bool(trys or stmt.finalbody)
+                for handler in stmt.handlers:
+                    if not self._salvages(handler):
+                        continue
+                    culprit = self._unmarked_exit(
+                        handler, flag_names, exposed
+                    )
+                    if culprit is None:
+                        continue
+                    yield self.finding(
+                        ctx,
+                        culprit.lineno,
+                        0,
+                        func.name,
+                        f"{func.name}() salvages BudgetExceeded (handler "
+                        f"at line {handler.lineno}) without first marking "
+                        f"degradation (e.g. meta['degraded'] = True) in "
+                        f"the handler",
+                    )
 
     def finalize(self) -> Iterator[Finding]:
         calls = self.project.calls
@@ -427,19 +421,6 @@ class BudgetExceptionSafetyRule(_PathRule):
                 f"broad handler in {func.name}() guards a "
                 f"budget-checkpointed region and may swallow "
                 f"BudgetExceeded without re-raising",
-            )
-        for rel, node_id, func, handler in self._salvage:
-            line = self._unmarked_return(node_id, func, handler)
-            if line is None:
-                continue
-            yield self.finding(
-                rel,
-                line,
-                0,
-                func.name,
-                f"{func.name}() returns after catching BudgetExceeded "
-                f"(handler at line {handler.lineno}) without marking "
-                f"degradation (e.g. meta['degraded'] = True) on that path",
             )
 
     def _budget_region(
@@ -477,34 +458,27 @@ class BudgetExceptionSafetyRule(_PathRule):
             for edge in self.project.calls.calls_within(node_id, first, last)
         )
 
-    def _unmarked_return(
-        self, node_id: str, func: FuncDef, handler: ast.ExceptHandler
-    ) -> int | None:
-        """Line of a return reachable from ``handler`` with no marking."""
-        cfg = self._cfg_for(node_id, func)
-        entry = cfg.handler_entry.get(handler)
-        if entry is None:
-            return None
-        fact = frozenset({("caught", handler.lineno)})
-        flag_names = self._observable_flags(func)
-        kill: dict[int, frozenset[object]] = {}
-        for stmt, block in cfg.block_of_stmt.items():
+    def _unmarked_exit(
+        self,
+        handler: ast.ExceptHandler,
+        flag_names: set[str],
+        exposed: bool,
+    ) -> ast.stmt | ast.ExceptHandler | None:
+        """Where ``handler`` may leave before marking, or ``None``.
+
+        ``exposed`` (the ``try`` has a ``finally:`` or an enclosing
+        ``try``) makes any statement before the marking a way out.
+        """
+        for stmt in handler.body:
             if self._marks_degraded(stmt, flag_names):
-                kill[block] = fact
-        result = solve(
-            cfg,
-            DataflowProblem(
-                flow=gen_kill({entry: fact}, kill, gen_on_exc=True)
-            ),
-        )
-        for stmt, block in sorted(
-            cfg.block_of_stmt.items(), key=lambda kv: kv[0].lineno
-        ):
-            if isinstance(stmt, ast.Return) and (
-                result.value_into(block) & fact
+                return None
+            if exposed or any(
+                isinstance(inner, (ast.Return, ast.Break, ast.Continue))
+                for block, _ in _blocks([stmt])
+                for inner in block
             ):
-                return stmt.lineno
-        return None
+                return stmt
+        return handler
 
     @staticmethod
     def _observable_flags(func: FuncDef) -> set[str]:
@@ -763,7 +737,7 @@ class SetOrderDeterminismRule(Rule):
 # ----------------------------------------------------------------------
 # REP108 -- serve state-machine completeness
 # ----------------------------------------------------------------------
-class ServeStateMachineRule(_PathRule):
+class ServeStateMachineRule(Rule):
     """``ServeResult`` completeness and mutation-record immutability.
 
     Three serve-package invariants:
@@ -771,11 +745,15 @@ class ServeStateMachineRule(_PathRule):
     * every ``ServeResult(...)`` construction passes ``staleness=``
       explicitly -- the field is the consistency contract of the online
       engine and must never ride a default;
-    * every function annotated ``-> ServeResult`` constructs one (or
-      delegates via ``return <call>``) on **all** paths to a normal
-      return -- a must-dataflow over the CFG, so an early ``return
-      None`` arm or a fall-through path is caught even when the happy
-      path is fine;
+    * every function annotated ``-> ServeResult`` hands one back on
+      **all** paths to a normal return: its body ends in a ``return``
+      or ``raise`` (at top level, or in both arms of an ``if``/
+      ``else``), and every ``return`` returns a call -- a
+      ``ServeResult(...)`` or a delegate, which is annotated and
+      checked itself.  An early ``return None`` arm or a fall-through
+      path is caught even when the happy path is fine.  A ``return``
+      under a ``try`` with a ``finally:`` is not credited: the finally
+      runs after it and may return over it;
     * frozen mutation records (``CustomerArrive`` & co.) are never
       attribute-assigned after construction and ``object.__setattr__``
       never appears in serve code -- replaying a mutated record breaks
@@ -798,20 +776,21 @@ class ServeStateMachineRule(_PathRule):
          "Mutation"}
     )
     _RESULT = "ServeResult"
-    _FACT = frozenset({"constructed"})
-
-    def start(self) -> None:
-        # (rel, node_id, func) for ``-> ServeResult`` functions
-        self._result_funcs: list[tuple[str, str, FuncDef]] = []
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.rel.startswith(self.PREFIX):
             return
         for site in ctx.functions:
             func, qual = site.node, site.qualname
-            if self._returns_serveresult(func):
-                self._result_funcs.append(
-                    (ctx.rel, self._node_id(ctx.rel, qual), func)
+            if self._returns_serveresult(func) and not self._completes(func):
+                yield self.finding(
+                    ctx,
+                    func.lineno,
+                    func.col_offset,
+                    func.name,
+                    f"{func.name}() is annotated -> ServeResult but some "
+                    f"path reaches a normal return without constructing "
+                    f"one",
                 )
             frozen_vars = self._frozen_locals(site)
             for node in site.owned:
@@ -892,47 +871,23 @@ class ServeStateMachineRule(_PathRule):
                 frozen.add(node.targets[0].id)
         return frozen
 
-    def finalize(self) -> Iterator[Finding]:
-        for rel, node_id, func in self._result_funcs:
-            cfg = self._cfg_for(node_id, func)
-            gen: dict[int, frozenset[object]] = {}
-            for stmt, block in cfg.block_of_stmt.items():
-                if self._constructs_result(stmt):
-                    gen[block] = self._FACT
-            result = solve(
-                cfg,
-                DataflowProblem(
-                    flow=gen_kill(gen, {}, gen_on_exc=False),
-                    may=False,
-                    universe=self._FACT,
-                ),
+    @staticmethod
+    def _completes(func: FuncDef) -> bool:
+        """Whether every normal return of ``func`` returns a call."""
+        if not _always_leaves(func.body, returns=True):
+            return False
+        return not any(
+            isinstance(stmt, ast.Return)
+            and (
+                not isinstance(stmt.value, ast.Call)
+                or any(t.finalbody for t in trys)
             )
-            at_exit = result.block_in.get(cfg.exit)
-            if at_exit is not None and not at_exit >= self._FACT:
-                yield self.finding(
-                    rel,
-                    func.lineno,
-                    func.col_offset,
-                    func.name,
-                    f"{func.name}() is annotated -> ServeResult but some "
-                    f"path reaches a normal return without constructing "
-                    f"one",
-                )
-
-    def _constructs_result(self, stmt: ast.stmt) -> bool:
-        # Header-only walk: an ``if`` whose *body* constructs must not
-        # credit the branch point itself.
-        for node in header_nodes(stmt):
-            if isinstance(node, ast.Call) and call_name(node) == self._RESULT:
-                return True
-        # Delegation: ``return self._other_helper(...)`` constructs the
-        # result elsewhere; the callee is annotated and checked itself.
-        if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call):
-            return True
-        return False
+            for stmts, trys in _blocks(func.body)
+            for stmt in stmts
+        )
 
 
-#: The path-sensitive tier, appended to the main registry by
+#: The path tier, appended to the main registry by
 #: :func:`repro.analysis.rules.default_rules` (lazy import -- REP102).
 PATH_RULES: tuple[type[Rule], ...] = (
     MustReleaseResourceRule,

@@ -62,8 +62,8 @@ def cost_model_for(project: AnalysisProject) -> CostModel:
     """The (memoised) cost model of one analysis project.
 
     Several rules consult the same summaries; the model is built once
-    per project and stashed on it, mirroring how CFGs are shared through
-    ``project.cfgs``.
+    per project and stashed on it, like the project's own lazily built
+    graphs (``project.calls``).
     """
     model = getattr(project, "_cost_model", None)
     if not isinstance(model, CostModel) or model.project is not project:

@@ -18,57 +18,19 @@ import json
 from repro.analysis.graphs import AnalysisProject, layer_table, rank_of
 
 #: Graph selectors accepted by ``repro lint --graph``.
-GRAPH_KINDS = ("imports", "calls", "cfg")
+GRAPH_KINDS = ("imports", "calls")
 
 #: Formats accepted by ``repro lint --graph-format``.
 GRAPH_FORMATS = ("json", "dot")
 
 
-def render_cfgs(
-    project: AnalysisProject, fmt: str = "json", function: str = ""
-) -> str:
-    """Render per-function control-flow graphs.
-
-    ``function`` filters by substring match on the call-graph node id
-    (``module.Qual.name``); empty renders every function.  JSON emits a
-    ``{"functions": [cfg-dict, ...]}`` envelope; DOT concatenates one
-    digraph per function (GraphViz accepts multiple graphs per file).
-    """
-    index = project.cfgs
-    node_ids = [
-        node_id
-        for node_id in index.node_ids()
-        if not function or function in node_id
-    ]
-    if fmt == "dot":
-        parts = []
-        for node_id in node_ids:
-            cfg = index.get(node_id)
-            if cfg is not None:
-                parts.append(cfg.to_dot())
-        return "\n\n".join(parts)
-    payload = {
-        "functions": [
-            cfg.as_dict()
-            for node_id in node_ids
-            if (cfg := index.get(node_id)) is not None
-        ]
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def render_graph(
-    project: AnalysisProject,
-    which: str,
-    fmt: str = "json",
-    function: str = "",
+    project: AnalysisProject, which: str, fmt: str = "json"
 ) -> str:
     """Render one program graph as a string.
 
-    ``which`` selects ``"imports"``, ``"calls"``, or ``"cfg"``; ``fmt``
-    selects ``"json"`` (node/edge dict, schema-stable) or ``"dot"``
-    (GraphViz).  ``function`` applies only to ``"cfg"`` and filters the
-    rendered functions by node-id substring.
+    ``which`` selects ``"imports"`` or ``"calls"``; ``fmt`` selects
+    ``"json"`` (node/edge dict, schema-stable) or ``"dot"`` (GraphViz).
     """
     if which not in GRAPH_KINDS:
         raise ValueError(
@@ -78,8 +40,6 @@ def render_graph(
         raise ValueError(
             f"unknown graph format {fmt!r}; choose from {GRAPH_FORMATS}"
         )
-    if which == "cfg":
-        return render_cfgs(project, fmt, function)
     if which == "imports":
         graph = project.imports
         if fmt == "dot":

@@ -1,4 +1,4 @@
-"""The repo-specific reprolint rules (REP001..REP006, REP101..REP108).
+"""The repo-specific reprolint rules (REP001..REP004, REP101..REP104).
 
 Each rule encodes a real contract of this codebase that no generic
 linter knows about -- the observability name registry, the
@@ -574,69 +574,6 @@ class BudgetReachabilityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP006 -- no mutable defaults, no bare except
-# ----------------------------------------------------------------------
-class MutableDefaultAndBareExceptRule(Rule):
-    """No mutable default arguments and no bare ``except:`` anywhere.
-
-    Mutable defaults are shared across calls (the classic aliasing bug);
-    bare ``except`` swallows ``KeyboardInterrupt``/``SystemExit`` and --
-    in this codebase -- :class:`~repro.errors.BudgetExceeded`, which
-    must always reach the runtime's fallback chain.
-    """
-
-    id = "REP006"
-    severity = "error"
-    title = "mutable default argument or bare except"
-    hint = (
-        "default to None and create the container inside the function; "
-        "catch a concrete exception type instead of bare except"
-    )
-
-    _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
-
-    def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        for site in ctx.functions:
-            func, qual = site.node, site.qualname
-            defaults = list(func.args.defaults) + [
-                d for d in func.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        ctx,
-                        default.lineno,
-                        default.col_offset,
-                        qual,
-                        f"{qual}() has a mutable default argument "
-                        f"(shared across calls)",
-                    )
-        for node in ctx.nodes:
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    "bare-except",
-                    "bare except swallows SystemExit/KeyboardInterrupt "
-                    "and BudgetExceeded",
-                )
-
-    @classmethod
-    def _is_mutable(cls, node: ast.expr) -> bool:
-        if isinstance(
-            node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                   ast.SetComp)
-        ):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in cls._MUTABLE_CALLS
-        )
-
-
-# ----------------------------------------------------------------------
 # REP102 -- the declared architecture layering holds
 # ----------------------------------------------------------------------
 class LayeringRule(Rule):
@@ -957,7 +894,6 @@ RULES: tuple[type[Rule], ...] = (
     SolverRegistrationRule,
     WallClockOwnershipRule,
     SeededRandomnessRule,
-    MutableDefaultAndBareExceptRule,
     BudgetReachabilityRule,
     LayeringRule,
     SharedStateSafetyRule,

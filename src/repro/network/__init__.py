@@ -11,7 +11,6 @@ nearest-facility streams (:mod:`repro.network.incremental`), and
 connected-component bookkeeping (:mod:`repro.network.components`).
 """
 
-from repro.network.astar import astar_distance
 from repro.network.components import (
     ComponentStructure,
     component_labels,
@@ -54,7 +53,6 @@ __all__ = [
     "AltOracle",
     "OracleFacilityStream",
     "select_landmarks",
-    "astar_distance",
     "VoronoiPartition",
     "voronoi_cells",
     "SubgraphMapping",

@@ -200,9 +200,13 @@ def shortest_path(
     """Distance and node path between two nodes.
 
     Returns ``(distance, path)``; raises :class:`GraphError` when no path
-    exists.
+    exists or ``target`` is not a node.
     """
-    result = _run(network, [source], targets={int(target)})
+    target = int(target)
+    n = network.n_nodes
+    if not (0 <= target < n):
+        raise GraphError(f"node {target} outside 0..{n - 1}")
+    result = _run(network, [source], targets={target})
     if not np.isfinite(result.dist[target]):
         raise GraphError(f"no path from {source} to {target}")
     return float(result.dist[target]), result.path_to(target)

@@ -479,27 +479,8 @@ class TestGraphExports:
         project = project_for(FIXTURES / "cyclepkg")
         for which in GRAPH_KINDS:
             dot = render_graph(project, which, "dot")
-            if which == "cfg":
-                # One digraph per function, named by node id.
-                assert dot.startswith('digraph "')
-            else:
-                assert dot.startswith(f"digraph {which}")
+            assert dot.startswith(f"digraph {which}")
         assert "json" in GRAPH_FORMATS
-
-    def test_cfg_json_schema_and_filter(self):
-        project = project_for(FIXTURES / "cyclepkg")
-        doc = json.loads(render_graph(project, "cfg"))
-        assert doc["functions"], "cyclepkg defines functions"
-        for func in doc["functions"]:
-            blocks = {b["index"] for b in func["blocks"]}
-            assert {func["entry"], func["exit"], func["raise_exit"]} <= blocks
-            for edge in func["edges"]:
-                assert edge["src"] in blocks and edge["dst"] in blocks
-        one = doc["functions"][0]["name"]
-        filtered = json.loads(
-            render_graph(project, "cfg", function=one)
-        )
-        assert [f["name"] for f in filtered["functions"]] == [one]
 
     def test_layer_table_renders(self):
         table = render_layer_table()

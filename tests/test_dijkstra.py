@@ -19,6 +19,7 @@ from repro.network.dijkstra import (
 )
 from repro.network.graph import Network
 from tests.conftest import (
+    build_grid_network,
     build_line_network,
     build_random_network,
     build_two_component_network,
@@ -102,6 +103,17 @@ class TestPathRecovery:
         g = build_two_component_network()
         with pytest.raises(GraphError, match="no path"):
             shortest_path(g, 0, 5)
+
+    def test_source_equals_target(self):
+        g = build_grid_network(3, 3)
+        assert shortest_path(g, 4, 4) == (0.0, [4])
+
+    def test_invalid_target_raises(self):
+        # A negative target must not wrap around to the last node.
+        g = build_grid_network(3, 3)
+        for target in (-1, 99):
+            with pytest.raises(GraphError, match="outside 0..8"):
+                shortest_path(g, 0, target)
 
     def test_path_to_unreached_raises(self):
         g = build_two_component_network()

@@ -1,8 +1,10 @@
-"""Fixture tests for the path-sensitive tier (REP105..REP108).
+"""Fixture tests for the path rules (REP105..REP108).
 
 Each rule gets positive fixtures (the defect fires) and negative
 fixtures (the remediated shape is clean), plus the justification-only
-suppression behaviour shared by the whole tier.
+suppression behaviour shared by the whole tier.  Fixtures commented
+"Conservative" pin shapes that are clean on every path but that the
+statement-list checks flag anyway.
 """
 
 from __future__ import annotations
@@ -122,6 +124,120 @@ class TestRep105MustRelease:
             },
         )
         assert result.findings == []
+
+    def test_close_as_next_statement_is_clean(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            MustReleaseResourceRule(),
+            {
+                "flow/a.py": """
+                    def f(path):
+                        fh = open(path)
+                        fh.close()
+                        return 1
+                    """
+            },
+        )
+        assert result.findings == []
+
+    def test_with_as_next_statement_is_clean(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            MustReleaseResourceRule(),
+            {
+                "flow/a.py": """
+                    def f(path):
+                        fh = open(path)
+                        with fh:
+                            data = fh.read()
+                        return data
+                    """
+            },
+        )
+        assert result.findings == []
+
+    def test_try_finally_inside_if_arm_is_clean(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            MustReleaseResourceRule(),
+            {
+                "flow/a.py": """
+                    def f(path, flag):
+                        if flag:
+                            fh = open(path)
+                            try:
+                                data = fh.read()
+                            finally:
+                                fh.close()
+                            return data
+                        return None
+                    """
+            },
+        )
+        assert result.findings == []
+
+    def test_try_finally_inside_for_body_is_clean(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            MustReleaseResourceRule(),
+            {
+                "flow/a.py": """
+                    def f(paths):
+                        sizes = []
+                        for path in paths:
+                            fh = open(path)
+                            try:
+                                sizes.append(len(fh.read()))
+                            finally:
+                                fh.close()
+                        return sizes
+                    """
+            },
+        )
+        assert result.findings == []
+
+    def test_statement_before_try_finally_fires(self, tmp_path):
+        # Conservative: ``x = 1`` cannot raise, but only the statement
+        # right after the acquisition may guard it.
+        result = run_rule(
+            tmp_path,
+            MustReleaseResourceRule(),
+            {
+                "flow/a.py": """
+                    def f(path):
+                        fh = open(path)
+                        x = 1
+                        try:
+                            data = fh.read()
+                        finally:
+                            fh.close()
+                        return data, x
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP105"]
+        assert "exception path" in result.findings[0].message
+
+    def test_release_in_both_if_arms_fires(self, tmp_path):
+        # Conservative: a release counts only at the top level of the
+        # acquisition's own block, not inside both arms of an if/else.
+        result = run_rule(
+            tmp_path,
+            MustReleaseResourceRule(),
+            {
+                "flow/a.py": """
+                    def f(path, keep):
+                        fh = open(path)
+                        if keep:
+                            fh.close()
+                        else:
+                            fh.close()
+                        return 1
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP105"]
+        assert "normal return path" in result.findings[0].message
 
 
 class TestRep106BudgetSafety:
@@ -249,6 +365,128 @@ class TestRep106BudgetSafety:
             },
         )
         assert result.findings == []
+
+    def test_unmarked_handler_in_loop_fires(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            BudgetExceptionSafetyRule(),
+            {
+                "flow/a.py": """
+                    def f(xs):
+                        for x in xs:
+                            try:
+                                work(x)
+                            except BudgetExceeded:
+                                pass
+                        return 1
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP106"]
+        assert result.findings[0].line == 6  # the handler
+
+    def test_break_before_marking_fires(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            BudgetExceptionSafetyRule(),
+            {
+                "flow/a.py": """
+                    def f(xs, meta):
+                        for x in xs:
+                            try:
+                                work(x)
+                            except BudgetExceeded:
+                                if meta is None:
+                                    break
+                                meta["degraded"] = True
+                        return 1
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP106"]
+        assert result.findings[0].line == 7  # the statement holding break
+
+    def test_marking_after_the_try_fires(self, tmp_path):
+        # Conservative: the marking must sit in the handler itself.
+        result = run_rule(
+            tmp_path,
+            BudgetExceptionSafetyRule(),
+            {
+                "flow/a.py": """
+                    def f(x, meta):
+                        try:
+                            work(x)
+                        except BudgetExceeded:
+                            pass
+                        meta["degraded"] = True
+                        return 1
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP106"]
+
+    def test_unmarked_handler_without_return_fires(self, tmp_path):
+        # Conservative: the handler must mark even when the function
+        # has no return to carry the salvage out.
+        result = run_rule(
+            tmp_path,
+            BudgetExceptionSafetyRule(),
+            {
+                "flow/a.py": """
+                    def f(x):
+                        try:
+                            work(x)
+                        except BudgetExceeded:
+                            pass
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP106"]
+
+    def test_statement_before_marking_in_nested_try_fires(self, tmp_path):
+        # log() may raise into the outer handler, which returns unmarked.
+        result = run_rule(
+            tmp_path,
+            BudgetExceptionSafetyRule(),
+            {
+                "flow/a.py": """
+                    def f(x, meta):
+                        try:
+                            try:
+                                return work(x)
+                            except BudgetExceeded:
+                                log(x)
+                                meta["degraded"] = True
+                                return None
+                        except ValueError:
+                            return None
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP106"]
+        assert result.findings[0].line == 7  # log(x)
+
+    def test_statement_before_marking_under_finally_fires(self, tmp_path):
+        # log() may raise through the finally on its way out.
+        result = run_rule(
+            tmp_path,
+            BudgetExceptionSafetyRule(),
+            {
+                "flow/a.py": """
+                    def f(x, meta, lock):
+                        try:
+                            value = work(x)
+                        except BudgetExceeded:
+                            log(x)
+                            meta["degraded"] = True
+                            value = None
+                        finally:
+                            lock.release()
+                        return value
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP106"]
 
 
 class TestRep107SetOrder:
@@ -423,6 +661,69 @@ class TestRep108ServeStateMachine:
         )
         assert rule_ids(result) == ["REP108"]
         assert "frozen" in result.findings[0].message
+
+    def test_raise_arm_then_construction_is_clean(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            ServeStateMachineRule(),
+            {
+                "serve/engine.py": """
+                    def answer(x) -> ServeResult:
+                        if x is None:
+                            raise ValueError("x")
+                        return ServeResult(value=x, staleness=0)
+                    """
+            },
+        )
+        assert result.findings == []
+
+    def test_return_only_inside_loop_fires(self, tmp_path):
+        # An empty ``xs`` falls off the end of the body.
+        result = run_rule(
+            tmp_path,
+            ServeStateMachineRule(),
+            {
+                "serve/engine.py": """
+                    def answer(xs) -> ServeResult:
+                        for x in xs:
+                            return ServeResult(value=x, staleness=0)
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP108"]
+
+    def test_returning_a_bound_result_fires(self, tmp_path):
+        # Conservative: every return must return a call.
+        result = run_rule(
+            tmp_path,
+            ServeStateMachineRule(),
+            {
+                "serve/engine.py": """
+                    def answer(x) -> ServeResult:
+                        r = ServeResult(value=x, staleness=0)
+                        return r
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP108"]
+
+    def test_return_under_finally_fires(self, tmp_path):
+        result = run_rule(
+            tmp_path,
+            ServeStateMachineRule(),
+            {
+                "serve/engine.py": """
+                    def answer(x, lock) -> ServeResult:
+                        try:
+                            if x is None:
+                                return fallback()
+                        finally:
+                            lock.release()
+                        return ServeResult(value=x, staleness=0)
+                    """
+            },
+        )
+        assert rule_ids(result) == ["REP108"]
 
 
 class TestJustifiedSuppression:

@@ -20,7 +20,7 @@ from repro.analysis.engine import FileContext
 from repro.analysis.lintcli import main as lint_main
 from repro.analysis.rules import (
     RULES,
-    MutableDefaultAndBareExceptRule,
+    SeededRandomnessRule,
     default_rules,
 )
 
@@ -471,56 +471,6 @@ class TestRep101BudgetReachability:
         assert result.suppressed == 1
 
 
-class TestRep006MutableDefaultsBareExcept:
-    def test_mutable_default_fires(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            with_registry(
-                {
-                    "core/x.py": """
-                        def f(acc=[]):
-                            return acc
-                    """
-                }
-            ),
-        )
-        assert rule_ids(result) == ["REP006"]
-
-    def test_bare_except_fires(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            with_registry(
-                {
-                    "core/x.py": """
-                        def f():
-                            try:
-                                return 1
-                            except:
-                                return 2
-                    """
-                }
-            ),
-        )
-        assert rule_ids(result) == ["REP006"]
-        assert result.findings[0].symbol == "bare-except"
-
-    def test_none_default_clean(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            with_registry(
-                {
-                    "core/x.py": """
-                        def f(acc=None):
-                            if acc is None:
-                                acc = []
-                            return acc
-                    """
-                }
-            ),
-        )
-        assert result.ok
-
-
 class TestEngineMechanics:
     def test_syntax_error_yields_rep000(self, tmp_path):
         result = run_lint(
@@ -561,25 +511,22 @@ class TestEngineMechanics:
 
     def test_directive_inside_a_string_suppresses_nothing(self, tmp_path):
         # A docstring line showing the directive syntax is not a comment,
-        # so it must not switch REP006 off for the file.
+        # so it must not switch REP004 off for the file.
         result = run_lint(
             tmp_path,
             {
                 "core/x.py": '''
-                    def f():
-                        """Example of the syntax:
+                    """Example of the syntax:
 
-                        # reprolint: disable=REP006
-                        """
+                    # reprolint: disable=REP004
+                    """
 
-
-                    def g(x=[]):
-                        return x
+                    import random
                 '''
             },
-            rules=[MutableDefaultAndBareExceptRule()],
+            rules=[SeededRandomnessRule()],
         )
-        assert rule_ids(result) == ["REP006"]
+        assert rule_ids(result) == ["REP004"]
         assert result.suppressed == 0
 
 
@@ -796,7 +743,7 @@ class TestSelfCheck:
     def test_every_rule_registered_and_distinct(self):
         ids = [r.id for r in default_rules()]
         assert ids == sorted(ids)
-        assert len(ids) == len(set(ids)) == 17
+        assert len(ids) == len(set(ids)) == 16
         # The path-sensitive and cost tiers ride the same registry.
         assert {"REP105", "REP106", "REP107", "REP108"} <= set(ids)
         assert {"REP109", "REP110", "REP111", "REP112"} <= set(ids)
