@@ -9,7 +9,7 @@ REP109 budget ratchet would be certifying garbage.
 
 This bench solves the same uniform instance family at three sizes,
 reads the ``obs`` work counters that the flow layer maintains
-(heap pops, residual-Dijkstra runs, lazily materialized edges), and
+(augmenting-path edges, edge reveals, lazily materialized edges), and
 fits a log-log growth slope for each counter.  Each counter is mapped
 to the hot driver whose static summary bounds the total counted work
 per solve:
@@ -17,10 +17,16 @@ per solve:
 ====================================  =============================
 counter                               bounding hot driver
 ====================================  =============================
-``sspa.pops``                         ``flow.sspa.assign_all``
-``sspa.dijkstra_runs``                ``flow.sspa.find_pair``
+``sspa.path_edges``                   ``flow.sspa.assign_all``
+``sspa.reveals``                      ``flow.sspa.find_pair``
 ``incremental.edges_materialized``    ``flow.sspa.rebuild_rows``
 ====================================  =============================
+
+``sspa.dijkstra_runs`` and ``sspa.pops`` count heap searches only.
+Most residual searches on these instances are answered without a heap
+(the source has no residual out-arc, or one into a facility with free
+capacity), so those two counters track rewiring, not instance size:
+they read 0 at n=150.
 
 The assertion is two-sided: the empirical slope must be genuinely
 instance-sized (``> SLOPE_MIN``, i.e. the function is *not* bounded --
@@ -58,8 +64,8 @@ INSTANCE_KW = {"seed": 7, "capacity": (8, 16), "customer_frac": 0.2}
 
 #: counter name -> cost-model node id whose static degree bounds it.
 COUNTER_DRIVERS = {
-    "sspa.pops": "flow.sspa.assign_all",
-    "sspa.dijkstra_runs": "flow.sspa.find_pair",
+    "sspa.path_edges": "flow.sspa.assign_all",
+    "sspa.reveals": "flow.sspa.find_pair",
     "incremental.edges_materialized": "flow.sspa.rebuild_rows",
 }
 

@@ -52,6 +52,7 @@ _EPS = 1e-9
 
 _DIJKSTRA_COUNTERS = metrics.CounterBlock("sspa.dijkstra_runs", "sspa.pops")
 _REVEAL_COUNTERS = metrics.CounterBlock("sspa.reveals")
+_AUGMENT_COUNTERS = metrics.CounterBlock("sspa.augmentations", "sspa.path_edges")
 _PRUNE_COUNTERS = metrics.CounterBlock("oracle.prunes")
 
 
@@ -94,6 +95,13 @@ def _residual_dijkstra(
     the residual graph has no reachable free facility) and ``sp_len`` its
     reduced-cost distance.  Node ids: customers ``0..m-1``, facilities
     ``m..m+l-1``.
+
+    A source with no residual out-arc, or with a single one into a
+    facility that is not full, is answered without a heap: the search
+    could only settle the source, or the source and that facility, so
+    the result is built directly and equals the heap search's.  The
+    ``sspa.dijkstra_runs``/``sspa.pops`` counters and
+    ``state.dijkstra_runs`` count heap searches only.
     """
     # One residual search is the matcher's unit of work: a cooperative
     # budget interrupts between searches, never inside one.
@@ -104,6 +112,24 @@ def _residual_dijkstra(
     edges = state.edges
     matched = state.matched
     assigned = state.assigned
+    # Fetched before the heap-free answers so that both counters exist,
+    # at zero, on runs where no heap search happens.
+    c_runs, c_pops = _DIJKSTRA_COUNTERS.get()
+
+    # matched[source] is a subset of edges[source]'s keys (match() checks it).
+    out_arcs = len(edges[source]) - len(matched[source])
+    if out_arcs == 0:
+        return {source: 0.0}, {}, [source], None, INF
+    if out_arcs == 1:
+        has = matched[source]
+        for j, w in edges[source].items():
+            if j not in has:
+                break
+        if not state.is_full(j):
+            v = m + j
+            # The heap search's relaxation from d = 0.0, bit for bit.
+            d = 0.0 + (w - cust_p[source] + fac_p[j])
+            return {source: 0.0, v: d}, {v: source}, [source, v], j, d
 
     dist: dict[int, float] = {source: 0.0}
     parent: dict[int, int] = {}
@@ -112,7 +138,6 @@ def _residual_dijkstra(
     heap: list[tuple[float, int]] = [(0.0, source)]
     heappush, heappop = heapq.heappush, heapq.heappop
     state.dijkstra_runs += 1
-    c_runs, c_pops = _DIJKSTRA_COUNTERS.get()
     c_runs.add()
     pops = 0
 
@@ -303,9 +328,9 @@ def find_pair(
             state.match(u, v - m)
         else:
             state.unmatch(v, u - m)
-    reg = metrics.active()
-    reg.counter("sspa.augmentations").add()
-    reg.counter("sspa.path_edges").add(len(path) - 1)
+    c_augs, c_path_edges = _AUGMENT_COUNTERS.get()
+    c_augs.add()
+    c_path_edges.add(len(path) - 1)
 
     # Potential update (Algorithm 2, line 17): settled nodes only.
     for u in settled:

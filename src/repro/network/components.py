@@ -31,23 +31,20 @@ from repro.network.graph import Network
 def component_labels(network: Network) -> np.ndarray:
     """Label each node with a component id ``0..n_components-1``.
 
-    Uses iterative BFS over the CSR arrays (treating directed arcs as
-    undirected, i.e. weak connectivity).
+    Components are numbered in the order of their smallest node id.
+    Uses an iterative depth-first walk over the CSR list mirror
+    (treating directed arcs as undirected, i.e. weak connectivity).
     """
     n = network.n_nodes
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return labels
-
+    indptr, indices, _ = network.csr_lists
+    neighbours = [indices[indptr[u]:indptr[u + 1]] for u in range(n)]
     if network.directed:
-        # Weak connectivity needs reverse arcs too; build a symmetric view.
-        undirected = Network(
-            n, [(u, v, w) for u, v, w in network.edges()], directed=False
-        )
-        indptr, indices, _ = undirected.csr
-    else:
-        indptr, indices, _ = network.csr
+        # Weak connectivity: walk every arc backwards too.
+        for u in range(n):
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                neighbours[v].append(u)
 
+    labels = [-1] * n
     current = 0
     for start in range(n):
         if labels[start] >= 0:
@@ -55,14 +52,12 @@ def component_labels(network: Network) -> np.ndarray:
         stack = [start]
         labels[start] = current
         while stack:
-            u = stack.pop()
-            for pos in range(indptr[u], indptr[u + 1]):
-                v = int(indices[pos])
+            for v in neighbours[stack.pop()]:
                 if labels[v] < 0:
                     labels[v] = current
                     stack.append(v)
         current += 1
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def connected_components(network: Network) -> list[np.ndarray]:

@@ -14,13 +14,19 @@ counter                          meaning
 ``incremental.*``                resumable nearest-facility stream work
 ``incremental.edges_materialized``  lazy ``G_b`` edges revealed
 ``sspa.augmentations``           FindPair augmenting paths applied
-``sspa.dijkstra_runs/pops``      residual-graph Dijkstra work
+``sspa.dijkstra_runs/pops``      residual-graph Dijkstra work (heap searches only)
 ``set_cover.checks/heap_pops``   CheckCover invocations and lazy-heap pops
 ``oracle.queries/query_pops``    oracle point-to-point work (zero on the kernel path)
 ``oracle.prunes``                SSPA stops certified by stream lower bounds (any kind)
 ``ch.upward_settles/...``        contraction-hierarchy sweep work (``ch`` kind)
 ``bipartite.peak_edges``         peak ``G_b`` size (gauge)
 ===============================  =============================================
+
+A residual search whose source has no residual out-arc, or a single one
+into a facility with free capacity, is answered without a heap (see
+:func:`repro.flow.sspa._residual_dijkstra`).  ``sspa.dijkstra_runs``,
+``sspa.pops``, ``BipartiteState.dijkstra_runs`` and the solution's
+``meta["dijkstra_runs"]`` count heap searches only.
 
 Reports serialize to JSON (``repro profile`` in the CLI) and compare
 against committed baselines so CI can gate on counter regressions; see

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.network.components import (
     ComponentStructure,
@@ -40,6 +42,42 @@ class TestLabels:
     def test_empty_graph(self):
         g = Network(0, [])
         assert component_labels(g).size == 0
+
+
+@st.composite
+def sparse_networks(draw):
+    """Undirected or directed networks, sparse enough to fall apart."""
+    n = draw(st.integers(1, 30))
+    directed = draw(st.booleans())
+    arcs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda arc: arc[0] != arc[1]
+            ),
+            max_size=n,
+        )
+    )
+    return Network(n, [(u, v, 1.0) for u, v in arcs], directed=directed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=sparse_networks())
+def test_property_labels_match_networkx_components(g):
+    """Labels partition the nodes as networkx's (weakly) connected
+    components do, numbered in the order of their smallest node."""
+    labels = component_labels(g).tolist()
+    members: dict[int, set[int]] = {}
+    for node, label in enumerate(labels):
+        members.setdefault(label, set()).add(node)
+    reference = (
+        nx.weakly_connected_components if g.directed else nx.connected_components
+    )
+    assert {frozenset(c) for c in members.values()} == {
+        frozenset(c) for c in reference(g.to_networkx())
+    }
+    assert sorted(members) == list(range(len(members)))
+    smallest = [min(members[label]) for label in sorted(members)]
+    assert smallest == sorted(smallest)
 
 
 class TestConnectedComponents:

@@ -9,6 +9,7 @@ import pytest
 from repro.baselines.exact import lp_lower_bound, solve_exact
 from repro.core.instance import MCFSInstance
 from repro.core.validation import validate_solution
+from repro.datagen.instances import uniform_instance
 from repro.errors import InfeasibleInstanceError, MatchingError
 from repro.flow.sspa import assign_all
 from tests.conftest import (
@@ -145,3 +146,10 @@ class TestLpBound:
             k=1,
         )
         assert lp_lower_bound(inst) == pytest.approx(4 + 5)
+
+    def test_bound_is_zero_when_customers_sit_on_candidates(self):
+        # Without y_ij <= x_j rows the relaxation opens x_j = 1/c_j under
+        # each customer and pays nothing (WMA's objective here: 4842.24).
+        # A stronger bound must change this pin deliberately.
+        inst = uniform_instance(128, seed=0)
+        assert lp_lower_bound(inst) == pytest.approx(0.0, abs=1e-9)

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from repro import solve
+from repro.core.instance import MCFSInstance
+from repro.core.wma import WMASolver
+from repro.datagen.instances import clustered_instance, uniform_instance
 from repro.errors import MatchingError
+from repro.flow import sspa
 from repro.flow.bipartite import BipartiteState
 from repro.flow.sspa import ThresholdRule, assign_all, find_pair
 from repro.network.dijkstra import distance_matrix
 from repro.network.graph import Network
+from repro.serve import ServeEngine, synthesize_trace
 from tests.conftest import (
     build_line_network,
     build_random_network,
@@ -258,3 +268,162 @@ def test_property_sspa_matches_hungarian(seed, m, l):
     else:
         result = assign_all(g, customers, facilities, capacities)
         assert result.cost == pytest.approx(ref, rel=1e-9)
+
+
+def reference_residual_dijkstra(state, source):
+    """The residual heap search, without its counters.
+
+    The reference that :func:`repro.flow.sspa._residual_dijkstra` must
+    equal exactly, including on the searches it answers without a heap.
+    Read-only: it never touches ``state``.
+    """
+    m = state.m
+    cust_p = state.customer_potential
+    fac_p = state.facility_potential
+    edges = state.edges
+    matched = state.matched
+    assigned = state.assigned
+
+    dist = {source: 0.0}
+    parent = {}
+    settled = []
+    done = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        settled.append(u)
+        if u >= m:
+            j = u - m
+            if not state.is_full(j):
+                return dist, parent, settled, j, d
+            pj = fac_p[j]
+            for i2 in assigned[j]:
+                rc = -edges[i2][j] - pj + cust_p[i2]
+                nd = d + rc
+                if nd < dist.get(i2, math.inf) - 1e-9:
+                    dist[i2] = nd
+                    parent[i2] = u
+                    heapq.heappush(heap, (nd, i2))
+        else:
+            pi = cust_p[u]
+            has = matched[u]
+            for j2, w in edges[u].items():
+                if j2 in has:
+                    continue
+                rc = w - pi + fac_p[j2]
+                nd = d + rc
+                v = m + j2
+                if nd < dist.get(v, math.inf) - 1e-9:
+                    dist[v] = nd
+                    parent[v] = u
+                    heapq.heappush(heap, (nd, v))
+    return dist, parent, settled, None, math.inf
+
+
+def _search_shape(state, source) -> str:
+    """Which residual out-arcs the source has: the heap-free cases first."""
+    arcs = [j for j in state.edges[source] if j not in state.matched[source]]
+    if not arcs:
+        return "no arc"
+    if len(arcs) == 1:
+        return "one arc, full" if state.is_full(arcs[0]) else "one arc, free"
+    return "several arcs"
+
+
+@pytest.fixture
+def checked_searches(monkeypatch):
+    """Check every residual search against the reference; count shapes."""
+    shapes: Counter[str] = Counter()
+    search = sspa._residual_dijkstra
+
+    def checked(state, source):
+        shape = _search_shape(state, source)
+        shapes[shape] += 1
+        expected = reference_residual_dijkstra(state, source)
+        runs = state.dijkstra_runs
+        got = search(state, source)
+        assert got == expected, shape
+        # Only heap searches count as Dijkstra runs.
+        heap_free = shape in ("no arc", "one arc, free")
+        assert state.dijkstra_runs == runs + (0 if heap_free else 1)
+        return got
+
+    monkeypatch.setattr(sspa, "_residual_dijkstra", checked)
+    return shapes
+
+
+def _directed_instance(seed: int) -> MCFSInstance:
+    """A random network whose every edge has a costlier return arc."""
+    base = build_random_network(60, seed=seed)
+    rng = np.random.default_rng(seed)
+    arcs = []
+    for u, v, w in base.edges():
+        arcs.append((u, v, w))
+        arcs.append((v, u, w * float(rng.uniform(1.0, 3.0))))
+    customers = [int(v) for v in rng.choice(60, size=24, replace=True)]
+    facilities = sorted(int(v) for v in rng.choice(60, size=12, replace=False))
+    return MCFSInstance(
+        network=Network(60, arcs, directed=True),
+        customers=tuple(customers),
+        facility_nodes=tuple(facilities),
+        capacities=(3,) * 12,
+        k=10,
+    )
+
+
+class TestHeapFreeSearches:
+    """Every residual search equals the heap search, shape by shape."""
+
+    def test_wma_uniform(self, checked_searches):
+        WMASolver(uniform_instance(256)).solve()
+        assert checked_searches["no arc"] > 0
+        assert checked_searches["one arc, free"] > 0
+
+    def test_wma_clustered(self, checked_searches):
+        WMASolver(clustered_instance(256)).solve()
+        assert checked_searches["no arc"] > 0
+        assert checked_searches["one arc, free"] > 0
+
+    def test_tight_capacity(self, checked_searches):
+        # 40 customers into exactly 40 units of capacity: late arrivals
+        # can only be served by rewiring through full facilities.
+        g = build_random_network(80, seed=4)
+        rng = np.random.default_rng(4)
+        customers = [int(v) for v in rng.choice(80, size=40, replace=True)]
+        facilities = sorted(int(v) for v in rng.choice(80, size=10, replace=False))
+        result = assign_all(g, customers, facilities, [4] * 10)
+        assert result.cost == pytest.approx(
+            hungarian_reference(g, customers, facilities, [4] * 10), rel=1e-9
+        )
+        assert checked_searches["one arc, full"] > 0
+        assert checked_searches["several arcs"] > 0
+
+    def test_directed_network(self, checked_searches):
+        solve(_directed_instance(3), method="wma")
+        assert checked_searches["no arc"] > 0
+        assert checked_searches["one arc, free"] > 0
+        assert checked_searches["one arc, full"] > 0
+
+    def test_clustered_serve_replay(self, checked_searches):
+        instance = clustered_instance(256, seed=0)
+        selected = solve(instance, method="wma").selected
+        mutations = synthesize_trace(
+            instance.network,
+            2000,
+            facility_nodes=[instance.facility_nodes[j] for j in selected],
+            capacities=[int(instance.capacities[j]) for j in selected],
+            start_handle=len(instance.customers),
+            customer_nodes=[int(c) for c in instance.customers],
+            seed=1,
+            p_depart=0.45,
+        )
+        engine = ServeEngine(instance, selected)
+        for start in range(0, len(mutations), 64):
+            result = engine.apply(mutations[start:start + 64])
+            assert result.staleness == "optimal"
+        assert set(checked_searches) == {
+            "no arc", "one arc, free", "one arc, full", "several arcs"
+        }
