@@ -98,7 +98,7 @@ class FunctionInfo:
     param_types: dict[str, str] = field(default_factory=dict)
     #: resolved ``module.Class`` return type key, if annotated.
     return_type: str = ""
-    #: body contains a lexical ``*checkpoint*``/``tick`` call.
+    #: body contains a lexical ``*checkpoint*`` call.
     direct_checkpoint: bool = False
     #: decorated with ``@solver_api`` (MethodSpec registry entry).
     solver_api: bool = False
@@ -725,7 +725,7 @@ class CallGraph:
         """Function nodes from which some call path hits a checkpoint.
 
         A node qualifies if its own body contains a lexical
-        ``*checkpoint*``/``tick`` call or any resolved callee does,
+        ``*checkpoint*`` call or any resolved callee does,
         transitively.
         """
         reaching = {

@@ -60,11 +60,8 @@ def call_name(node: ast.Call) -> str:
 
 def is_checkpoint_call(node: ast.AST) -> bool:
     """The lexical budget-checkpoint test: a call named ``*checkpoint*``
-    or ``tick`` (REP101, REP106 and the call graph all use it)."""
-    if not isinstance(node, ast.Call):
-        return False
-    name = call_name(node)
-    return "checkpoint" in name or name == "tick"
+    (REP101, REP106 and the call graph all use it)."""
+    return isinstance(node, ast.Call) and "checkpoint" in call_name(node)
 
 
 def checkpoint_callers(

@@ -305,7 +305,7 @@ class BudgetExceptionSafetyRule(Rule):
 
     * A broad handler (``except Exception``/``BaseException``/bare)
       guarding a try body that can raise ``BudgetExceeded`` -- a lexical
-      checkpoint/``tick``/``raise BudgetExceeded``, or a resolved call
+      checkpoint/``raise BudgetExceeded``, or a resolved call
       into the call graph's checkpoint-reaching set -- must be preceded
       by a handler naming ``BudgetExceeded`` (or an ancestor:
       ``SolverError``/``ReproError``) or must itself re-raise on every

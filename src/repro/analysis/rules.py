@@ -469,8 +469,8 @@ class BudgetReachabilityRule(Rule):
     iterable) with no checkpoint on any path.  A function is compliant
     if
 
-    * it (or an enclosing def) calls ``*checkpoint*``/``tick``
-      lexically -- the legacy REP005 scope check; or
+    * it (or an enclosing def) calls ``*checkpoint*`` lexically --
+      the legacy REP005 scope check; or
     * any call in its body resolves, via the whole-program call graph,
       to a function that transitively reaches a checkpoint
       (``ws.run()`` checkpoints, so ``many_source_lengths`` and

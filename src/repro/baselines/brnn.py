@@ -25,11 +25,9 @@ import time
 import numpy as np
 
 from repro.core.instance import MCFSInstance
-from repro.core.provisions import cover_components
 from repro.core.solution import MCFSSolution
 from repro.core.validation import check_feasibility
-from repro.errors import MatchingError
-from repro.flow.sspa import assign_all
+from repro.core.wma import capacity_finalize
 from repro.network.dijkstra import (
     distance_matrix,
     multi_source_lengths,
@@ -144,22 +142,7 @@ def _solve_brnn(
             j_new = remaining[0]
         selected.append(j_new)
 
-    repaired = False
-    sub_nodes = [fac_nodes[j] for j in selected]
-    sub_caps = [instance.capacities[j] for j in selected]
-    try:
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-    except MatchingError:
-        selected = cover_components(instance, selected)
-        sub_nodes = [fac_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-        repaired = True
-
+    selected, result, repaired = capacity_finalize(instance, selected)
     assignment = [selected[j_sub] for j_sub in result.assignment]
     runtime = time.perf_counter() - started
     return MCFSSolution(

@@ -30,8 +30,7 @@ from repro.core.instance import MCFSInstance
 from repro.core.provisions import cover_components
 from repro.core.solution import MCFSSolution
 from repro.core.validation import check_feasibility
-from repro.errors import MatchingError
-from repro.flow.sspa import assign_all
+from repro.core.wma import capacity_finalize
 from repro.geometry.hilbert_curve import hilbert_sort
 from repro.runtime.options import solver_api
 
@@ -165,21 +164,8 @@ def solve_hilbert(instance: MCFSInstance) -> MCFSSolution:
     if repaired:
         selected = cover_components(instance, selected)
 
-    sub_nodes = [instance.facility_nodes[j] for j in selected]
-    sub_caps = [instance.capacities[j] for j in selected]
-    try:
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-    except MatchingError:
-        selected = cover_components(instance, selected)
-        sub_nodes = [instance.facility_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-        repaired = True
-
+    selected, result, rematched = capacity_finalize(instance, selected)
+    repaired = repaired or rematched
     assignment = [selected[j_sub] for j_sub in result.assignment]
     runtime = time.perf_counter() - started
     return MCFSSolution(

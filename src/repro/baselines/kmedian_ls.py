@@ -25,11 +25,10 @@ import time
 import numpy as np
 
 from repro.core.instance import MCFSInstance
-from repro.core.provisions import cover_components
 from repro.core.solution import MCFSSolution
 from repro.core.validation import check_feasibility
-from repro.errors import BudgetExceeded, MatchingError
-from repro.flow.sspa import assign_all
+from repro.core.wma import capacity_finalize
+from repro.errors import BudgetExceeded
 from repro.network.dijkstra import distance_matrix, multi_source_lengths
 from repro.obs import metrics
 from repro.runtime.budget import checkpoint, grace
@@ -216,21 +215,15 @@ def solve_kmedian_ls(
 
     if degraded:
         with grace():
-            selected, result, repaired = _capacity_finalize(
-                instance, selected
-            )
+            selected, result, repaired = capacity_finalize(instance, selected)
     else:
         try:
-            selected, result, repaired = _capacity_finalize(
-                instance, selected
-            )
+            selected, result, repaired = capacity_finalize(instance, selected)
         except BudgetExceeded:
             degraded = True
             metrics.active().counter("runtime.degraded_returns").add()
             with grace():
-                selected, result, repaired = _capacity_finalize(
-                    instance, selected
-                )
+                selected, result, repaired = capacity_finalize(instance, selected)
 
     assignment = [selected[j_sub] for j_sub in result.assignment]
     runtime = time.perf_counter() - started
@@ -248,26 +241,3 @@ def solve_kmedian_ls(
         objective=result.cost,
         meta=meta,
     )
-
-
-def _capacity_finalize(instance: MCFSInstance, selected: list[int]):
-    """Confront reality: capacities and per-component coverage.
-
-    Returns ``(selected, assignment_result, repaired)``.
-    """
-    repaired = False
-    sub_nodes = [instance.facility_nodes[j] for j in selected]
-    sub_caps = [instance.capacities[j] for j in selected]
-    try:
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-    except MatchingError:
-        selected = cover_components(instance, selected)
-        sub_nodes = [instance.facility_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-        repaired = True
-    return selected, result, repaired

@@ -14,11 +14,9 @@ import time
 import numpy as np
 
 from repro.core.instance import MCFSInstance
-from repro.core.provisions import cover_components
 from repro.core.solution import MCFSSolution
 from repro.core.validation import check_feasibility
-from repro.errors import MatchingError
-from repro.flow.sspa import assign_all
+from repro.core.wma import capacity_finalize
 from repro.runtime.options import solver_api
 
 
@@ -32,22 +30,7 @@ def solve_random(instance: MCFSInstance, *, seed: int = 0) -> MCFSSolution:
     selected = sorted(
         int(j) for j in rng.choice(instance.l, size=instance.k, replace=False)
     )
-    repaired = False
-    sub_nodes = [instance.facility_nodes[j] for j in selected]
-    sub_caps = [instance.capacities[j] for j in selected]
-    try:
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-    except MatchingError:
-        selected = cover_components(instance, selected)
-        sub_nodes = [instance.facility_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-        repaired = True
-
+    selected, result, repaired = capacity_finalize(instance, selected)
     assignment = [selected[j_sub] for j_sub in result.assignment]
     runtime = time.perf_counter() - started
     return MCFSSolution(

@@ -26,8 +26,7 @@ from repro.core.provisions import cover_components, select_greedy
 from repro.core.set_cover import check_cover
 from repro.core.solution import MCFSSolution
 from repro.core.validation import check_feasibility
-from repro.errors import MatchingError
-from repro.flow.sspa import assign_all
+from repro.core.wma import capacity_finalize
 from repro.network.incremental import StreamPool
 from repro.runtime.options import solver_api
 
@@ -127,7 +126,7 @@ def solve_wma_naive(
     if not fully_covered:
         selected = cover_components(instance, selected)
 
-    assignment, objective, repaired = _final_greedy_assignment(
+    selected, assignment, objective, repaired = _final_greedy_assignment(
         instance, selected, rng
     )
     runtime = time.perf_counter() - started
@@ -146,11 +145,12 @@ def solve_wma_naive(
 
 def _final_greedy_assignment(
     instance: MCFSInstance, selected: list[int], rng: np.random.Generator
-) -> tuple[list[int], float, bool]:
+) -> tuple[list[int], list[int], float, bool]:
     """Greedy nearest-free-facility assignment onto ``selected``.
 
-    Returns ``(assignment, objective, repaired)``; ``repaired`` is True
-    when greed failed and the optimal matcher had to finish the job.
+    Returns ``(selected, assignment, objective, repaired)``; ``repaired``
+    is True when greed failed and the optimal matcher had to finish the
+    job (repairing the selection if it cannot serve everyone).
     """
     sub_nodes = [instance.facility_nodes[j] for j in selected]
     sub_caps = [instance.capacities[j] for j in selected]
@@ -175,19 +175,8 @@ def _final_greedy_assignment(
                 break
 
     if all(j >= 0 for j in assignment):
-        return assignment, total, False
+        return selected, assignment, total, False
 
     # Greedy got stuck; fall back to the optimal matcher for feasibility.
-    try:
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-    except MatchingError:
-        selected[:] = cover_components(instance, selected)
-        sub_nodes = [instance.facility_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-    assignment = [selected[j_sub] for j_sub in result.assignment]
-    return assignment, result.cost, True
+    selected, result, _ = capacity_finalize(instance, selected)
+    return selected, [selected[j] for j in result.assignment], result.cost, True

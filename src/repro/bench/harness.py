@@ -21,12 +21,9 @@ from repro.core.instance import MCFSInstance
 from repro.core.validation import validate_solution
 from repro.errors import ReproError, SolverError
 from repro.obs import metrics as obs_metrics
+from repro.obs.profile import jsonable
 
 DEFAULT_METHODS = ("wma", "hilbert", "wma-naive", "exact")
-
-#: Solvers that accept a ``workers=`` keyword (process-parallel
-#: distance fan-out; see :mod:`repro.network.parallel`).
-WORKER_AWARE_METHODS = frozenset({"exact", "brnn", "kmedian-ls"})
 
 
 @dataclass
@@ -75,19 +72,9 @@ class BenchRow:
             "runtime_sec": self.runtime_sec,
             "status": self.status,
             "params": dict(self.params),
-            "meta": {k: _jsonable(v) for k, v in self.meta.items()},
+            "meta": jsonable(self.meta),
             "metrics": dict(self.metrics),
         }
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
 
 
 def save_rows(rows: Sequence[BenchRow], target: str | TextIO) -> None:
@@ -231,9 +218,9 @@ def run_solvers(
     seeds:
         Optional per-method ``seed`` keyword (randomized baselines).
     workers:
-        Process count forwarded to the solvers in
-        :data:`WORKER_AWARE_METHODS`; objectives are identical for any
-        count.
+        Process count passed to every method (universal option; only
+        the solvers with a distance fan-out use it); objectives are
+        identical for any count.
     oracle:
         Distance-oracle control passed to every method (universal
         option; see :func:`repro.network.oracle.resolve`).  ``True`` or
@@ -260,7 +247,7 @@ def run_solvers(
             kwargs["time_limit"] = exact_time_limit
         if seeds and method in seeds:
             kwargs["seed"] = seeds[method]
-        if workers is not None and method in WORKER_AWARE_METHODS:
+        if workers is not None:
             kwargs["workers"] = workers
         if oracle is not None:
             kwargs["oracle"] = oracle

@@ -31,7 +31,13 @@ from repro.core.solution import MCFSSolution
 from repro.core.validation import check_feasibility
 from repro.errors import BudgetExceeded, MatchingError
 from repro.flow.bipartite import BipartiteState
-from repro.flow.sspa import ThresholdRule, assign_all, find_pair
+from repro.flow.sspa import (
+    AssignmentResult,
+    ThresholdRule,
+    assign_all,
+    find_pair,
+)
+from repro.network.incremental import StreamPool
 from repro.obs import metrics, tracing
 from repro.runtime.budget import checkpoint, grace
 from repro.runtime.options import solver_api
@@ -289,47 +295,48 @@ class WMASolver:
             if not fully_covered:
                 selected = cover_components(instance, selected)
         with tracing.span("wma.final_assign"):
-            assignment, objective = _assign_to_selection(
-                instance, selected, state
+            selected, result, _ = capacity_finalize(
+                instance, selected, pool=state.pool
             )
-        return selected, assignment, objective
+        assignment = [selected[j_sub] for j_sub in result.assignment]
+        return selected, assignment, result.cost
 
 
-def _assign_to_selection(
+def capacity_finalize(
     instance: MCFSInstance,
     selected: list[int],
-    state: BipartiteState,
-) -> tuple[list[int], float]:
-    """Optimally assign all customers to the selected facilities.
+    *,
+    pool: StreamPool | None = None,
+) -> tuple[list[int], AssignmentResult, bool]:
+    """Optimally assign all customers to ``selected`` (Algorithm 1, lines 14-15).
 
-    Reuses the main phase's stream pool so network-level Dijkstra work is
-    shared with the exploration phase.  Falls back to a component repair
-    if the selection turns out unassignable (possible when coverage was
-    established through facilities that the set-cover pass then dropped).
+    When the selection cannot serve every customer -- a component short
+    of capacity, possible when coverage came through facilities the set
+    cover then dropped, or when a baseline chose without capacities --
+    it is repaired once with Algorithm 5 (:func:`cover_components`) and
+    assigned again.  ``pool`` shares an existing stream pool's
+    network-level Dijkstra work.
+
+    Returns ``(selected, result, repaired)``; ``result.assignment``
+    indexes into the returned ``selected``.
     """
-    sub_nodes = [instance.facility_nodes[j] for j in selected]
-    sub_caps = [instance.capacities[j] for j in selected]
     try:
-        result = assign_all(
-            instance.network,
-            instance.customers,
-            sub_nodes,
-            sub_caps,
-            pool=state.pool,
-        )
+        return selected, _assign(instance, selected, pool), False
     except MatchingError:
-        selected[:] = cover_components(instance, selected)
-        sub_nodes = [instance.facility_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network,
-            instance.customers,
-            sub_nodes,
-            sub_caps,
-            pool=state.pool,
-        )
-    assignment = [selected[j_sub] for j_sub in result.assignment]
-    return assignment, result.cost
+        selected = cover_components(instance, selected)
+        return selected, _assign(instance, selected, pool), True
+
+
+def _assign(
+    instance: MCFSInstance, selected: list[int], pool: StreamPool | None
+) -> AssignmentResult:
+    return assign_all(
+        instance.network,
+        instance.customers,
+        [instance.facility_nodes[j] for j in selected],
+        [instance.capacities[j] for j in selected],
+        pool=pool,
+    )
 
 
 @solver_api(
@@ -377,30 +384,16 @@ def solve_wma_uniform_first(
     if inner is None:
         inner = WMASolver(instance, **kwargs).solve()
 
-    selected = list(inner.selected)
-    try:
-        cover_ok = True
-        sub_nodes = [instance.facility_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-    except MatchingError:
-        cover_ok = False
-        selected = cover_components(instance, selected)
-        sub_nodes = [instance.facility_nodes[j] for j in selected]
-        sub_caps = [instance.capacities[j] for j in selected]
-        result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
-        )
-
+    selected, result, repaired = capacity_finalize(
+        instance, list(inner.selected)
+    )
     assignment = [selected[j_sub] for j_sub in result.assignment]
     runtime = time.perf_counter() - started
     meta = {
         "algorithm": "wma-uf",
         "runtime_sec": runtime,
         "iterations": inner.meta.get("iterations"),
-        "selection_repaired": not cover_ok,
+        "selection_repaired": repaired,
     }
     if inner.meta.get("degraded"):
         meta["degraded"] = True

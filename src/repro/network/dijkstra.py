@@ -13,23 +13,17 @@ First-target searches (Algorithm 4's nearest unselected candidate) are
 a :class:`~repro.network.incremental.NearestFacilityStream` asked for
 its first facility.
 
-All of them run over the CSR arrays of :class:`Network` with a binary heap
-and lazy deletion, the standard textbook approach that performs well in
-pure Python.
-
-Two implementations coexist.  ``_run`` is the simple per-call reference
-loop (fresh arrays every call); the batched entry points --
-:func:`distance_matrix`, :func:`multi_source_lengths`,
-:func:`eccentricity_bound` -- delegate to the preallocated
-:class:`~repro.network.kernels.DijkstraWorkspace` kernel, which produces
-bit-identical distances without the per-call allocation.
-:func:`distance_matrix` additionally supports process-parallel fan-out
-(``workers=``, see :mod:`repro.network.parallel`).
+All of them run on the preallocated
+:class:`~repro.network.kernels.DijkstraWorkspace` kernel: a binary heap
+with lazy deletion over the CSR arrays of :class:`Network`, the standard
+textbook approach that performs well in pure Python.
+:func:`distance_matrix` and :func:`multi_source_lengths` additionally
+support process-parallel fan-out (``workers=``, see
+:mod:`repro.network.parallel`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -38,9 +32,11 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.network.graph import Network
-from repro.network.kernels import many_source_lengths, workspace_for
-from repro.obs import metrics
-from repro.runtime.budget import checkpoint as _budget_checkpoint
+from repro.network.kernels import (
+    DijkstraWorkspace,
+    many_source_lengths,
+    workspace_for,
+)
 
 INF = math.inf
 
@@ -83,91 +79,6 @@ class DijkstraResult:
         return path
 
 
-def _run(
-    network: Network,
-    sources: Sequence[int],
-    *,
-    targets: set[int] | None = None,
-    radius: float = INF,
-    max_settled: int | None = None,
-) -> DijkstraResult:
-    """Core per-call Dijkstra loop (the legacy reference implementation).
-
-    ``targets`` enables early exit once every target is settled; ``radius``
-    prunes the search past a distance bound; ``max_settled`` caps the
-    number of settled nodes.  ``targets`` is treated as read-only: the
-    run counts down settled targets instead of consuming a copied set.
-
-    The loop works on the plain-list CSR mirror and pushes only plain
-    Python floats/ints into the heap -- numpy scalar boxing on heap
-    comparisons used to dominate the cost of this function.
-    """
-    _budget_checkpoint()
-    indptr, indices, weights = network.csr_lists
-    n = network.n_nodes
-    dist: list[float] = [INF] * n
-    parent: list[int] = [-1] * n
-    settled_order: list[int] = []
-    done: list[bool] = [False] * n
-
-    heap: list[tuple[float, int]] = []
-    for s in sources:
-        s = int(s)
-        if not (0 <= s < n):
-            raise GraphError(f"source {s} outside 0..{n - 1}")
-        if dist[s] > 0.0:
-            dist[s] = 0.0
-            heapq.heappush(heap, (0.0, s))
-
-    if targets is not None:
-        target_set = (
-            targets if isinstance(targets, (set, frozenset)) else set(targets)
-        )
-        remaining = len(target_set)
-    else:
-        target_set = None
-        remaining = -1
-    heappush, heappop = heapq.heappush, heapq.heappop
-    # Batched instrumentation: locals in the loop, one flush on return.
-    pops = 0
-    relaxations = 0
-
-    while heap:
-        d, u = heappop(heap)
-        pops += 1
-        if done[u]:
-            continue
-        done[u] = True
-        settled_order.append(u)
-        if remaining >= 0:
-            if u in target_set:
-                remaining -= 1
-            if remaining <= 0:
-                break
-        if max_settled is not None and len(settled_order) >= max_settled:
-            break
-        lo, hi = indptr[u], indptr[u + 1]
-        for pos in range(lo, hi):
-            v = indices[pos]
-            nd = d + weights[pos]
-            if nd < dist[v] and nd <= radius:
-                dist[v] = nd
-                parent[v] = u
-                relaxations += 1
-                heappush(heap, (nd, v))
-
-    reg = metrics.active()
-    reg.counter("dijkstra.runs").add()
-    reg.counter("dijkstra.pops").add(pops)
-    reg.counter("dijkstra.relaxations").add(relaxations)
-    reg.counter("dijkstra.settled").add(len(settled_order))
-    return DijkstraResult(
-        dist=np.asarray(dist, dtype=np.float64),
-        parent=np.asarray(parent, dtype=np.int64),
-        settled=settled_order,
-    )
-
-
 def shortest_path_lengths(
     network: Network,
     source: int,
@@ -190,8 +101,10 @@ def shortest_path_lengths(
         Optional search radius; nodes farther than ``radius`` are not
         explored.
     """
-    target_set = set(int(t) for t in targets) if targets is not None else None
-    return _run(network, [source], targets=target_set, radius=radius)
+    target_set = {int(t) for t in targets} if targets is not None else None
+    ws = workspace_for(network)
+    ws.run([source], targets=target_set, radius=radius)
+    return _latest_result(ws)
 
 
 def shortest_path(
@@ -206,7 +119,7 @@ def shortest_path(
     n = network.n_nodes
     if not (0 <= target < n):
         raise GraphError(f"node {target} outside 0..{n - 1}")
-    result = _run(network, [source], targets={target})
+    result = shortest_path_lengths(network, source, targets=(target,))
     if not np.isfinite(result.dist[target]):
         raise GraphError(f"no path from {source} to {target}")
     return float(result.dist[target]), result.path_to(target)
@@ -243,6 +156,11 @@ def multi_source_lengths(
         return DijkstraResult(dist=dist, parent=parent, settled=settled)
     ws = workspace_for(network)
     ws.run(source_list, radius=radius)
+    return _latest_result(ws)
+
+
+def _latest_result(ws: DijkstraWorkspace) -> DijkstraResult:
+    """Copy the workspace's latest run out before the next run reuses it."""
     return DijkstraResult(
         dist=ws.dist_array(),
         parent=ws.parent_array(),

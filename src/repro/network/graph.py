@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 import numpy.typing as npt
@@ -51,6 +51,22 @@ class GraphStats:
             "avg_edge_length": round(self.avg_edge_length, 2),
             "components": self.n_components,
         }
+
+
+def _raise_first_bad_edge(n: int, edge_list: Sequence[Edge]) -> NoReturn:
+    """Raise :class:`GraphError` naming the first invalid edge of ``edge_list``."""
+    for u, v, w in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(
+                f"edge ({u}, {v}) references a node outside 0..{n - 1}"
+            )
+        if u == v:
+            raise GraphError(f"self-loop at node {u} is not allowed")
+        if not (w > 0) or not np.isfinite(w):
+            raise GraphError(
+                f"edge ({u}, {v}) has non-positive or non-finite weight {w}"
+            )
+    raise AssertionError("no invalid edge found")
 
 
 class Network:
@@ -87,26 +103,25 @@ class Network:
         self._directed = bool(directed)
 
         edge_list = [(int(u), int(v), float(w)) for u, v, w in edges]
-        for u, v, w in edge_list:
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise GraphError(
-                    f"edge ({u}, {v}) references a node outside 0..{self._n - 1}"
-                )
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
-            if not (w > 0) or not np.isfinite(w):
-                raise GraphError(
-                    f"edge ({u}, {v}) has non-positive or non-finite weight {w}"
-                )
-        self._edge_array = np.array(
-            [(u, v) for u, v, _ in edge_list], dtype=np.int64
-        ).reshape(-1, 2)
-        self._edge_weights = np.array(
-            [w for _, _, w in edge_list], dtype=np.float64
+        try:
+            table = np.array(edge_list, dtype=np.float64).reshape(-1, 3)
+        except OverflowError:  # a node id too large for a float
+            _raise_first_bad_edge(self._n, edge_list)
+        # Float comparisons are exact for every id below 2**53, and any
+        # larger id is out of range either way.
+        u, v, w = table.T
+        bad = ~(
+            (u >= 0) & (u < self._n) & (v >= 0) & (v < self._n) & (u != v)
+            & (w > 0) & np.isfinite(w)
         )
+        if bad.any():
+            first = int(np.argmax(bad))
+            _raise_first_bad_edge(self._n, edge_list[first:])
+        self._edge_array = table[:, :2].astype(np.int64)
+        self._edge_weights = table[:, 2].copy()
 
         self._indptr, self._indices, self._weights = self._build_csr(
-            self._n, edge_list, self._directed
+            self._n, self._edge_array, self._edge_weights, self._directed
         )
 
         if coords is not None:
@@ -121,35 +136,32 @@ class Network:
 
     @staticmethod
     def _build_csr(
-        n: int, edge_list: Sequence[Edge], directed: bool
+        n: int,
+        edge_array: npt.NDArray[np.int64],
+        edge_weights: npt.NDArray[np.float64],
+        directed: bool,
     ) -> tuple[
         npt.NDArray[np.int64],
         npt.NDArray[np.int64],
         npt.NDArray[np.float64],
     ]:
-        """Build CSR adjacency arrays from an edge list."""
-        if directed:
-            arcs_u = [u for u, _, _ in edge_list]
-            arcs_v = [v for _, v, _ in edge_list]
-            arcs_w = [w for _, _, w in edge_list]
-        else:
-            arcs_u = [u for u, _, _ in edge_list] + [v for _, v, _ in edge_list]
-            arcs_v = [v for _, v, _ in edge_list] + [u for u, _, _ in edge_list]
-            arcs_w = [w for _, _, w in edge_list] * 2
+        """Build CSR adjacency arrays from the validated edge arrays.
 
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for u in arcs_u:
-            counts[u + 1] += 1
-        indptr = np.cumsum(counts)
-        indices = np.empty(len(arcs_u), dtype=np.int64)
-        weights = np.empty(len(arcs_u), dtype=np.float64)
-        cursor = indptr[:-1].copy()
-        for u, v, w in zip(arcs_u, arcs_v, arcs_w, strict=True):
-            pos = cursor[u]
-            indices[pos] = v
-            weights[pos] = w
-            cursor[u] += 1
-        return indptr, indices, weights
+        A stable sort on the arc tails: each node's arcs keep input
+        order, and on an undirected graph the arcs of edges listed as
+        ``(node, x)`` come before those listed as ``(x, node)``.
+        """
+        tails, heads, weights = edge_array[:, 0], edge_array[:, 1], edge_weights
+        if not directed:
+            tails, heads = (
+                np.concatenate((tails, heads)),
+                np.concatenate((heads, tails)),
+            )
+            weights = np.concatenate((weights, weights))
+        order = np.argsort(tails, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        return indptr, heads[order], weights[order]
 
     # ------------------------------------------------------------------
     # Basic accessors

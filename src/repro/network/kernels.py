@@ -1,11 +1,11 @@
 """Reusable, allocation-free Dijkstra kernels over CSR adjacency.
 
-The public entry points in :mod:`repro.network.dijkstra` historically
-allocated three ``O(n)`` arrays per call and ran one source at a time.
-Repeated runs over the same :class:`~repro.network.graph.Network` -- the
-exact solver's distance matrix, the baselines' sweeps, the benchmark
-harness -- pay that allocation and numpy-scalar boxing cost thousands of
-times.
+Every one-shot network Dijkstra runs here (the resumable
+nearest-facility streams live in :mod:`repro.network.incremental`).
+Repeated runs over the same :class:`~repro.network.graph.Network` --
+the exact solver's distance matrix, the baselines' sweeps, solution
+validation, the benchmark harness -- would otherwise pay ``O(n)``
+allocation and numpy-scalar boxing thousands of times.
 
 :class:`DijkstraWorkspace` removes both costs:
 
@@ -20,12 +20,10 @@ times.
 * only plain Python floats/ints ever enter the binary heap, avoiding
   numpy-scalar comparison overhead on every heap operation.
 
-:func:`many_source_lengths` batches several runs over one workspace; the
-``distance_matrix``, ``multi_source_lengths``, and ``eccentricity_bound``
-entry points delegate to it.  Kernel runs flush the same ``dijkstra.*``
-observability counters as the legacy loop (run-for-run identical totals)
-plus ``dijkstra.kernel_runs``, so metrics reports distinguish kernel
-from legacy executions.
+:func:`many_source_lengths` batches several runs over one workspace, and
+every entry point of :mod:`repro.network.dijkstra` runs on the shared
+workspace of :func:`workspace_for`.  Each run flushes the
+``dijkstra.runs/pops/relaxations/settled`` counters once.
 """
 
 from __future__ import annotations
@@ -51,10 +49,10 @@ class DijkstraWorkspace:
     A workspace is bound to one adjacency structure (a
     :class:`~repro.network.graph.Network` or raw CSR lists) and owns four
     length-``n`` scratch arrays: distances, parents, and two generation-
-    stamp arrays marking which entries belong to the current run.  Runs
-    produce *bit-identical* distances to the legacy per-call loop in
-    :mod:`repro.network.dijkstra`: same relaxation order, same heap
-    tie-breaking, same IEEE-754 arithmetic.
+    stamp arrays marking which entries belong to the current run.  A
+    run gives *bit-identical* distances to a textbook per-call Dijkstra
+    with fresh arrays: same relaxation order, same heap tie-breaking,
+    same IEEE-754 arithmetic.
 
     Results are queried through :meth:`gather`, :meth:`dist_array`,
     :meth:`parent_array`, :meth:`settled`, and :meth:`dist_of`, and stay
@@ -135,11 +133,11 @@ class DijkstraWorkspace:
     ) -> int:
         """Execute one Dijkstra over the preallocated scratch arrays.
 
-        Semantics match ``dijkstra._run``: ``targets`` enables early exit
-        once every (reachable, in-range) target is settled, ``radius``
-        prunes past a distance bound, ``max_settled`` caps the settled
-        count.  ``targets`` is *never* mutated or copied when it is
-        already a set.  Returns the new generation stamp.
+        ``targets`` enables early exit once every (reachable, in-range)
+        target is settled, ``radius`` prunes past a distance bound,
+        ``max_settled`` caps the settled count.  ``targets`` is *never*
+        mutated or copied when it is already a set.  Returns the new
+        generation stamp.
         """
         # One network Dijkstra is the distance layer's unit of work for
         # cooperative budgets: interrupt between runs, never mid-run.
@@ -219,7 +217,6 @@ class DijkstraWorkspace:
 
         reg = metrics.active()
         reg.counter("dijkstra.runs").add()
-        reg.counter("dijkstra.kernel_runs").add()
         reg.counter("dijkstra.pops").add(pops)
         reg.counter("dijkstra.relaxations").add(relaxations)
         reg.counter("dijkstra.settled").add(len(settled))

@@ -169,7 +169,7 @@ class AltOracle:
         """Select landmarks on ``network`` and precompute their vectors.
 
         One seeding Dijkstra plus one per landmark, all on the shared
-        kernel workspace (counted under ``dijkstra.kernel_runs``); the
+        kernel workspace (counted under ``dijkstra.runs``); the
         build itself bumps ``oracle.builds``.
         """
         landmarks, vectors = select_landmarks(network, n_landmarks, seed=seed)

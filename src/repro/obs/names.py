@@ -32,7 +32,6 @@ COUNTERS = frozenset(
         "dijkstra.pops",
         "dijkstra.relaxations",
         "dijkstra.settled",
-        "dijkstra.kernel_runs",
         # -- network.incremental (resumable nearest-facility streams) --
         "incremental.streams",
         "incremental.pops",

@@ -67,7 +67,7 @@ class ProfileReport:
             "metrics": self.metrics,
             "span_summary": self.span_summary,
             "spans": self.spans,
-            "solution_meta": _jsonable(self.solution_meta),
+            "solution_meta": jsonable(self.solution_meta),
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -75,12 +75,12 @@ class ProfileReport:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
-def _jsonable(value: Any) -> Any:
+def jsonable(value: Any) -> Any:
     """Best-effort conversion of solver metadata to JSON-safe values."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
@@ -115,9 +115,9 @@ def profile_solver(
         objective from raw network Dijkstras, so its ``dijkstra.*``
         counters appear in the report alongside the solver's own.
     workers:
-        Process count forwarded to solvers that accept one (see
-        :data:`repro.bench.harness.WORKER_AWARE_METHODS`); ignored for
-        the rest.  The profiled objective is identical for any count.
+        Process count forwarded to the solver (universal option; only
+        the solvers with a distance fan-out use it).  The profiled
+        objective is identical for any count.
     oracle:
         Distance-oracle control forwarded to the solver (universal
         option; see :func:`repro.network.oracle.resolve`; ``"alt"`` or
@@ -131,12 +131,11 @@ def profile_solver(
     """
     # Local import: repro's __init__ imports obs-instrumented modules.
     from repro import SOLVERS, validate_solution
-    from repro.bench.harness import WORKER_AWARE_METHODS
 
     solver = SOLVERS[method]
     reg = registry if registry is not None else metrics.Registry()
     tr = trace if trace is not None else tracing.Trace()
-    if workers is not None and method in WORKER_AWARE_METHODS:
+    if workers is not None:
         solver_kwargs = {**solver_kwargs, "workers": workers}
     # Resolve the oracle *before* entering the metrics scope: building
     # one runs a landmark Dijkstra per landmark, which would otherwise

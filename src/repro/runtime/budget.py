@@ -13,9 +13,7 @@ catch it and salvage a best-so-far solution inside a :func:`grace` scope
 Checkpoints are placed at per-heavy-operation granularity (one Dijkstra
 run, one WMA iteration, one local-search trial), so the enabled overhead
 is one ``time.perf_counter`` read per operation -- well under 1% -- and
-budget-free runs pay only the ``None`` check.  Ultra-hot sites can batch
-further via ``Budget(stride=N)``: the clock is then read every ``N``
-checkpoint ticks.
+budget-free runs pay only the ``None`` check.
 
 Scoping follows the :mod:`repro.obs.metrics` pattern: :func:`use`
 installs a budget for a ``with`` block, :func:`active` returns the
@@ -67,20 +65,14 @@ class Budget:
         values produce an already-expired budget (the next checkpoint
         raises), which is how a fallback chain handles a method whose
         predecessors consumed the whole deadline.
-    stride:
-        Read the clock only every ``stride`` checkpoint ticks (default 1:
-        every checkpoint).  Raising it trades deadline precision for less
-        overhead at ultra-hot call sites.
     """
 
-    __slots__ = ("limit", "started", "deadline", "stride", "_ticks")
+    __slots__ = ("limit", "started", "deadline")
 
-    def __init__(self, seconds: float, *, stride: int = 1) -> None:
+    def __init__(self, seconds: float) -> None:
         self.limit = float(seconds)
         self.started = time.perf_counter()
         self.deadline = self.started + self.limit
-        self.stride = max(1, int(stride))
-        self._ticks = 0
 
     def elapsed(self) -> float:
         """Seconds since the budget was created."""
@@ -105,13 +97,6 @@ class Budget:
                 f"({self.elapsed():.3f}s elapsed)"
             )
 
-    def tick(self, weight: int = 1) -> None:
-        """Accumulate ``weight`` units of work; check every ``stride``."""
-        self._ticks += weight
-        if self._ticks >= self.stride:
-            self._ticks = 0
-            self.check()
-
     def __repr__(self) -> str:
         return (
             f"Budget(limit={self.limit:.3f}s, "
@@ -124,16 +109,16 @@ def active() -> Budget | None:
     return _active
 
 
-def checkpoint(weight: int = 1) -> None:
+def checkpoint() -> None:
     """Cooperative deadline checkpoint for solver hot loops.
 
     A no-op when no budget is active; otherwise forwards to the active
-    budget's :meth:`Budget.tick`, which raises
+    budget's :meth:`Budget.check`, which raises
     :class:`~repro.errors.BudgetExceeded` once the deadline has passed.
     """
     b = _active
     if b is not None:
-        b.tick(weight)
+        b.check()
 
 
 @contextmanager

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 import pytest
 
 from repro.core.instance import MCFSInstance
+from repro.errors import GraphError
 from repro.flow.bipartite import _FilteredCursor
+from repro.network.dijkstra import DijkstraResult
 from repro.network.graph import Network
 from repro.network.incremental import (
     NearestFacilityStream,
@@ -17,6 +20,7 @@ from repro.network.incremental import (
     StreamPool,
 )
 from repro.network.oracle import FacilityStream
+from repro.obs import metrics
 
 
 def build_line_network(n: int, spacing: float = 1.0) -> Network:
@@ -104,6 +108,72 @@ def build_random_instance(
         capacities=tuple(capacities),
         k=k,
         name=f"random-{seed}",
+    )
+
+
+def reference_dijkstra(
+    network: Network,
+    sources: Sequence[int],
+    *,
+    targets: set[int] | None = None,
+    radius: float = math.inf,
+    max_settled: int | None = None,
+) -> DijkstraResult:
+    """Textbook per-call Dijkstra: the reference the workspace kernel must match.
+
+    Fresh arrays every call, a binary heap with lazy deletion, and the
+    kernel's options: ``targets`` stops once every target is settled (an
+    empty set stops after the first settle), ``radius`` prunes past a
+    distance bound, ``max_settled`` caps the settled count.  Flushes the
+    same ``dijkstra.*`` counters as one kernel run.
+    """
+    indptr, indices, weights = network.csr_lists
+    n = network.n_nodes
+    dist = [math.inf] * n
+    parent = [-1] * n
+    done = [False] * n
+    settled: list[int] = []
+    heap: list[tuple[float, int]] = []
+    for s in sources:
+        s = int(s)
+        if not (0 <= s < n):
+            raise GraphError(f"source {s} outside 0..{n - 1}")
+        if dist[s] > 0.0:
+            dist[s] = 0.0
+            heapq.heappush(heap, (0.0, s))
+    remaining = len(targets) if targets is not None else -1
+    pops = relaxations = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        pops += 1
+        if done[u]:
+            continue
+        done[u] = True
+        settled.append(u)
+        if remaining >= 0:
+            if u in targets:
+                remaining -= 1
+            if remaining <= 0:
+                break
+        if max_settled is not None and len(settled) >= max_settled:
+            break
+        for pos in range(indptr[u], indptr[u + 1]):
+            v = indices[pos]
+            nd = d + weights[pos]
+            if nd < dist[v] and nd <= radius:
+                dist[v] = nd
+                parent[v] = u
+                relaxations += 1
+                heapq.heappush(heap, (nd, v))
+    reg = metrics.active()
+    reg.counter("dijkstra.runs").add()
+    reg.counter("dijkstra.pops").add(pops)
+    reg.counter("dijkstra.relaxations").add(relaxations)
+    reg.counter("dijkstra.settled").add(len(settled))
+    return DijkstraResult(
+        dist=np.asarray(dist, dtype=np.float64),
+        parent=np.asarray(parent, dtype=np.int64),
+        settled=settled,
     )
 
 

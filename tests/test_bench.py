@@ -72,6 +72,16 @@ class TestRunSolvers:
         assert [r.method for r in rows] == ["wma", "hilbert", "random"]
         assert all(r.status == "ok" for r in rows)
 
+    def test_workers_reach_every_method(self):
+        # ``workers`` is a universal option: methods without a distance
+        # fan-out accept and ignore it.
+        inst = build_random_instance(2, cap_range=(3, 6))
+        rows = run_solvers(inst, ["wma", "brnn"], workers=1)
+        assert [r.method for r in rows] == ["wma", "brnn"]
+        assert all(r.status == "ok" for r in rows)
+        serial = run_solvers(inst, ["wma", "brnn"])
+        assert [r.objective for r in rows] == [r.objective for r in serial]
+
     def test_helpers(self):
         rows = [
             BenchRow("a", "wma", 10.0, 0.1),

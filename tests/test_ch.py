@@ -334,7 +334,7 @@ class TestScopeIntegration:
         assert np.array_equal(got, expected)
         counts = reg.as_dict()
         assert counts["ch.matrix_blocks"] == 1
-        assert counts.get("dijkstra.kernel_runs", 0) == 0
+        assert counts.get("dijkstra.runs", 0) == 0
 
     def test_two_component_matrix(self):
         network = build_two_component_network()

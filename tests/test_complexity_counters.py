@@ -37,13 +37,18 @@ class TestCounters:
     def test_dijkstra_runs_scale_with_assignments_not_bound(self):
         """Worst case allows m*l Dijkstras per FindPair; practice is
         a small constant per assignment."""
-        inst = uniform_instance(512, seed=5)
-        sol = WMASolver(inst).solve()
+        # sspa.dijkstra_runs counts heap searches only.  On this
+        # instance 69 residual searches need a heap (the final
+        # assignment's); on uniform_instance(512) none does, so a
+        # ratio there would check nothing.
+        inst = clustered_instance(512, seed=0)
+        reg = metrics.Registry()
+        with metrics.use(reg):
+            sol = WMASolver(inst).solve()
+        runs = reg.as_dict()["sspa.dijkstra_runs"]
+        assert runs > 0
         # Total G_b Dijkstra runs per materialized edge stays small.
-        ratio = sol.meta["dijkstra_runs"] / max(
-            1, sol.meta["edges_materialized"]
-        )
-        assert ratio < 10.0
+        assert runs / max(1, sol.meta["edges_materialized"]) < 10.0
 
     def test_counters_monotone_in_trace(self):
         inst = clustered_instance(256, seed=1)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datagen.instances import clustered_instance, uniform_instance
+from repro.datagen.urban import grid_city
 from repro.errors import GraphError
 from repro.network.graph import Network
 from tests.conftest import build_grid_network, build_line_network
@@ -54,6 +56,12 @@ class TestConstruction:
     def test_inf_weight_rejected(self):
         with pytest.raises(GraphError, match="weight"):
             Network(2, [(0, 1, float("inf"))])
+
+    def test_first_bad_edge_in_input_order_reported(self):
+        with pytest.raises(GraphError, match="self-loop at node 1"):
+            Network(3, [(0, 1, 1.0), (1, 1, 1.0), (0, 9, 1.0)])
+        with pytest.raises(GraphError, match=r"edge \(0, 9\) references"):
+            Network(3, [(0, 1, 1.0), (0, 9, 1.0), (1, 1, -1.0)])
 
     def test_coords_shape_enforced(self):
         with pytest.raises(GraphError, match="coords"):
@@ -178,3 +186,70 @@ class TestCsr:
             for pos in range(indptr[u], indptr[u + 1]):
                 arcs.add((u, int(indices[pos])))
         assert all((v, u) in arcs for (u, v) in arcs)
+
+
+class TestFingerprints:
+    """Pinned adjacency hashes: the CSR build must stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        ("build", "expected"),
+        [
+            pytest.param(
+                lambda: uniform_instance(256, seed=0).network,
+                "eb7eb70a986d0345365d2387945151d54cef96e1",
+                id="uniform-256",
+            ),
+            pytest.param(
+                lambda: uniform_instance(2048, seed=0).network,
+                "262599fde7974553a5cd4696c9feebc5f9d9d3f2",
+                id="uniform-2048",
+            ),
+            pytest.param(
+                lambda: clustered_instance(1024, seed=0).network,
+                "5dcf756ceb7a41b8da4f8d0c56c7048cfa423a4c",
+                id="clustered-1024",
+            ),
+            pytest.param(
+                lambda: grid_city(71, 71, seed=0),
+                "c5d7a3a319d456f75ff2a67b94b68180d7ab936e",
+                id="grid-71x71",
+            ),
+        ],
+    )
+    def test_fingerprint_pinned(self, build, expected):
+        assert build().fingerprint == expected
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_csr_matches_counting_sort_reference(self, directed):
+        # Random multigraph: parallel edges and both orientations occur.
+        rng = np.random.default_rng(7)
+        n = 30
+        pairs = rng.integers(0, n, size=(400, 2))
+        edges = [
+            (int(u), int(v), float(rng.uniform(0.5, 3.0)))
+            for u, v in pairs
+            if u != v
+        ]
+        got = Network(n, edges, directed=directed).csr
+        want = reference_csr(n, edges, directed)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_csr(n, edges, directed):
+    """The per-arc counting sort the vectorized build must reproduce."""
+    arcs = list(edges)
+    if not directed:
+        arcs += [(v, u, w) for u, v, w in edges]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for u, _, _ in arcs:
+        indptr[u + 1] += 1
+    indptr = np.cumsum(indptr)
+    indices = np.empty(len(arcs), dtype=np.int64)
+    weights = np.empty(len(arcs), dtype=np.float64)
+    cursor = indptr[:-1].copy()
+    for u, v, w in arcs:
+        indices[cursor[u]] = v
+        weights[cursor[u]] = w
+        cursor[u] += 1
+    return indptr, indices, weights

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.dijkstra import _run, distance_matrix
+from repro.network.dijkstra import distance_matrix
 from repro.network.incremental import NearestFacilityStream, StreamCursor, StreamPool
 from repro.obs import metrics
 from tests.conftest import (
     build_line_network,
     build_random_network,
     build_two_component_network,
+    reference_dijkstra,
 )
 
 
@@ -151,7 +152,7 @@ class TestPool:
         full_reg = metrics.Registry()
         with metrics.use(full_reg):
             for s in sources:
-                _run(g, [s])
+                reference_dijkstra(g, [s])
         full_pops = full_reg.as_dict()["dijkstra.pops"]
 
         assert stream_pops <= full_pops

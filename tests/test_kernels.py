@@ -1,10 +1,10 @@
-"""Equivalence tests pinning the workspace kernel to the legacy loop.
+"""Equivalence tests pinning the workspace kernel to a reference loop.
 
 The preallocated :class:`~repro.network.kernels.DijkstraWorkspace` must
-produce *bit-identical* distances to the per-call reference ``_run`` --
-same floats, valid parents, and the same ``dijkstra.*`` counter totals --
-on every graph shape the solvers encounter: undirected, directed, and
-disconnected.
+produce *bit-identical* distances to the per-call textbook loop
+``tests.conftest.reference_dijkstra`` -- same floats, valid parents, and
+the same ``dijkstra.*`` counter totals -- on every graph shape the
+solvers encounter: undirected, directed, and disconnected.
 """
 
 from __future__ import annotations
@@ -13,15 +13,20 @@ import numpy as np
 import pytest
 
 from repro.network.dijkstra import (
-    _run,
     distance_matrix,
     eccentricity_bound,
     multi_source_lengths,
+    shortest_path,
+    shortest_path_lengths,
 )
 from repro.network.graph import Network
 from repro.network.kernels import DijkstraWorkspace, many_source_lengths, workspace_for
 from repro.obs import metrics
-from tests.conftest import build_random_network, build_two_component_network
+from tests.conftest import (
+    build_random_network,
+    build_two_component_network,
+    reference_dijkstra,
+)
 
 
 def build_random_directed_network(n: int, seed: int = 0) -> Network:
@@ -82,49 +87,49 @@ class TestKernelMatchesLegacy:
     def test_single_source_bit_identical(self, make):
         network = make()
         for source in range(0, network.n_nodes, 7):
-            legacy = _run(network, [source])
+            ref = reference_dijkstra(network, [source])
             dist, parent, settled = kernel_result(network, [source])
-            assert np.array_equal(legacy.dist, dist)  # inf==inf, bitwise
-            assert settled == legacy.settled
+            assert np.array_equal(ref.dist, dist)  # inf==inf, bitwise
+            assert settled == ref.settled
             assert_parents_valid(network, dist, parent, [source])
 
     @pytest.mark.parametrize("make", GRAPHS)
     def test_multi_source_bit_identical(self, make):
         network = make()
         sources = list(range(0, network.n_nodes, 5))
-        legacy = _run(network, sources)
+        ref = reference_dijkstra(network, sources)
         dist, parent, settled = kernel_result(network, sources)
-        assert np.array_equal(legacy.dist, dist)
-        assert settled == legacy.settled
+        assert np.array_equal(ref.dist, dist)
+        assert settled == ref.settled
         assert_parents_valid(network, dist, parent, sources)
 
     @pytest.mark.parametrize("make", GRAPHS)
     def test_early_exit_and_radius(self, make):
         network = make()
         targets = set(range(0, network.n_nodes, 4))
-        legacy = _run(network, [0], targets=targets, radius=2.5)
+        ref = reference_dijkstra(network, [0], targets=targets, radius=2.5)
         ws = workspace_for(network)
         ws.run([0], targets=targets, radius=2.5)
         for t in sorted(targets):
-            assert ws.dist_of(t) == legacy.dist[t]
-        assert list(ws.settled()) == legacy.settled
+            assert ws.dist_of(t) == ref.dist[t]
+        assert list(ws.settled()) == ref.settled
 
     @pytest.mark.parametrize("make", GRAPHS)
     def test_counter_totals_match(self, make):
         network = make()
         sources = [0, network.n_nodes - 1]
 
-        legacy_reg = metrics.Registry()
-        with metrics.use(legacy_reg):
+        ref_reg = metrics.Registry()
+        with metrics.use(ref_reg):
             for s in sources:
-                _run(network, [s])
+                reference_dijkstra(network, [s])
         kernel_reg = metrics.Registry()
         ws = DijkstraWorkspace(network)
         with metrics.use(kernel_reg):
             for s in sources:
                 ws.run([s])
 
-        legacy_counts = legacy_reg.as_dict()
+        ref_counts = ref_reg.as_dict()
         kernel_counts = kernel_reg.as_dict()
         for key in (
             "dijkstra.runs",
@@ -132,26 +137,23 @@ class TestKernelMatchesLegacy:
             "dijkstra.relaxations",
             "dijkstra.settled",
         ):
-            assert kernel_counts[key] == legacy_counts[key]
-        # The kernel additionally marks its runs so reports can tell the
-        # two implementations apart.
-        assert kernel_counts["dijkstra.kernel_runs"] == len(sources)
-        assert "dijkstra.kernel_runs" not in legacy_counts
+            assert kernel_counts[key] == ref_counts[key]
+        assert kernel_counts["dijkstra.runs"] == len(sources)
 
     def test_empty_target_set_stops_like_legacy(self):
-        # Legacy quirk: an *empty* target set stops after the first
-        # settled node; the countdown rewrite must preserve that.
+        # Reference quirk: an *empty* target set stops after the
+        # first settled node; the kernel's countdown must preserve it.
         network = build_random_network(30, seed=5)
-        legacy = _run(network, [0], targets=set())
+        ref = reference_dijkstra(network, [0], targets=set())
         dist, _, settled = kernel_result(network, [0], targets=set())
-        assert settled == legacy.settled == [0]
-        assert np.array_equal(legacy.dist, dist)
+        assert settled == ref.settled == [0]
+        assert np.array_equal(ref.dist, dist)
 
     def test_max_settled(self):
         network = build_random_network(40, seed=6)
-        legacy = _run(network, [0], max_settled=7)
+        ref = reference_dijkstra(network, [0], max_settled=7)
         _, _, settled = kernel_result(network, [0], max_settled=7)
-        assert settled == legacy.settled
+        assert settled == ref.settled
         assert len(settled) == 7
 
 
@@ -196,8 +198,8 @@ class TestManySourceLengths:
         )
         assert got.shape == (4, 3)
         for i, s in enumerate(sources):
-            legacy = _run(network, [s], targets=set(targets))
-            assert np.array_equal(got[i], legacy.dist[targets])
+            ref = reference_dijkstra(network, [s], targets=set(targets))
+            assert np.array_equal(got[i], ref.dist[targets])
 
     def test_full_rows_without_targets(self):
         network = build_two_component_network()
@@ -209,25 +211,46 @@ class TestManySourceLengths:
 
 
 class TestEntryPointsDelegate:
-    def test_distance_matrix_marks_kernel_runs(self):
+    def test_distance_matrix_counts_one_run_per_source(self):
         network = build_random_network(30, seed=9)
         reg = metrics.Registry()
         with metrics.use(reg):
             distance_matrix(network, [0, 5], [1, 2, 3])
-        counts = reg.as_dict()
-        assert counts["dijkstra.kernel_runs"] == 2
-        assert counts["dijkstra.runs"] == 2
+        assert reg.as_dict()["dijkstra.runs"] == 2
 
     def test_multi_source_lengths_matches_legacy(self):
         network = build_random_network(30, seed=10)
         sources = [1, 8, 21]
         got = multi_source_lengths(network, sources)
-        legacy = _run(network, sources)
-        assert np.array_equal(got.dist, legacy.dist)
-        assert got.settled == legacy.settled
+        ref = reference_dijkstra(network, sources)
+        assert np.array_equal(got.dist, ref.dist)
+        assert got.settled == ref.settled
+
+    @pytest.mark.parametrize("make", GRAPHS)
+    def test_shortest_path_lengths_matches_reference(self, make):
+        network = make()
+        targets = set(range(1, network.n_nodes, 6))
+        for kwargs in ({}, {"radius": 1.5}, {"targets": targets}):
+            got = shortest_path_lengths(network, 0, **kwargs)
+            ref = reference_dijkstra(network, [0], **kwargs)
+            assert np.array_equal(got.dist, ref.dist)
+            assert got.settled == ref.settled
+            assert_parents_valid(network, got.dist, got.parent, [0])
+
+    def test_shortest_path_walks_reference_distance(self):
+        network = build_random_network(30, seed=12)
+        ref = reference_dijkstra(network, [3])
+        distance, path = shortest_path(network, 3, 29)
+        assert distance == ref.dist[29]
+        assert path[0] == 3 and path[-1] == 29
+        hops = sum(
+            min(w for v, w in network.neighbors(a) if v == b)
+            for a, b in zip(path, path[1:])
+        )
+        assert hops == pytest.approx(distance)
 
     def test_eccentricity_bound_matches_max_finite(self):
         network = build_random_network(35, seed=11)
-        legacy = _run(network, [0])
-        finite = legacy.dist[np.isfinite(legacy.dist)]
+        ref = reference_dijkstra(network, [0])
+        finite = ref.dist[np.isfinite(ref.dist)]
         assert eccentricity_bound(network, 0) == float(finite.max())

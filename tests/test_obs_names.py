@@ -25,7 +25,6 @@ GOLDEN_COUNTERS = [
     "ch.matrix_blocks",
     "ch.shortcuts",
     "ch.upward_settles",
-    "dijkstra.kernel_runs",
     "dijkstra.pops",
     "dijkstra.relaxations",
     "dijkstra.runs",

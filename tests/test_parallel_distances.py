@@ -132,7 +132,6 @@ class TestParallelEqualsSerial:
         fanned_counts = fanned_reg.as_dict()
         for key in (
             "dijkstra.runs",
-            "dijkstra.kernel_runs",
             "dijkstra.pops",
             "dijkstra.relaxations",
             "dijkstra.settled",
@@ -176,7 +175,7 @@ class TestParallelUnderCHOracle:
         # Worker chunks ran the bucket path: merged ch.* counters are
         # nonzero and no kernel Dijkstra ever ran.
         assert counts["ch.upward_settles"] > 0
-        assert counts.get("dijkstra.kernel_runs", 0) == 0
+        assert counts.get("dijkstra.runs", 0) == 0
         assert counts["parallel.tasks"] >= 1
 
     def test_solver_objective_identical_under_ch_workers(self):

@@ -58,14 +58,6 @@ class TestBudget:
         assert not b.expired()
         assert Budget(0.0).expired()
 
-    def test_stride_batches_clock_reads(self):
-        b = Budget(0.0, stride=10)
-        with use_budget(b):
-            for _ in range(9):
-                checkpoint()  # below the stride: no clock read, no raise
-            with pytest.raises(BudgetExceeded):
-                checkpoint()
-
     def test_nested_budget_clamped_to_outer_deadline(self):
         with use_budget(Budget(0.0)):
             inner = Budget(100.0)

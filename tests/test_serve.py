@@ -194,7 +194,7 @@ class TestEngineArrivals:
         assert not result.global_repair and result.repaired_components == 0
         assert engine.cost == cold_cost(engine)
         # Warm arrivals never re-run the cold assignment machinery.
-        assert registry.as_dict().get("dijkstra.kernel_runs", 0) == 0
+        assert registry.as_dict().get("dijkstra.runs", 0) == 0
 
     def test_arrival_beyond_capacity_rejects_and_rolls_back(self):
         inst = MCFSInstance(

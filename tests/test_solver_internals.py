@@ -91,7 +91,7 @@ class TestNaiveFallback:
         )
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            assignment, objective, repaired = _final_greedy_assignment(
+            _, assignment, objective, repaired = _final_greedy_assignment(
                 inst, [0, 1], rng
             )
             assert sorted(assignment.count(j) for j in (0, 1)) == [1, 2]
