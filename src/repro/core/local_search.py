@@ -79,14 +79,20 @@ def _cluster_cost_sums(
 def _reassign(
     instance: MCFSInstance,
     selection: list[int],
-    pool: StreamPool | None,
+    pool: StreamPool,
 ) -> tuple[list[int], float] | None:
-    """Optimal assignment onto ``selection``; None when infeasible."""
+    """Optimal assignment onto ``selection``; None when infeasible.
+
+    ``pool`` streams towards every candidate facility, so the trials of
+    one refinement share each customer's search and read it through
+    cursors filtered to ``selection``.
+    """
     sub_nodes = [instance.facility_nodes[j] for j in selection]
     sub_caps = [instance.capacities[j] for j in selection]
     try:
         result = assign_all(
-            instance.network, instance.customers, sub_nodes, sub_caps
+            instance.network, instance.customers, sub_nodes, sub_caps,
+            pool=pool,
         )
     except MatchingError:
         return None
@@ -129,6 +135,7 @@ def refine_solution(
     objective = solution.objective
     accepted = 0
     rounds = 0
+    pool = StreamPool(instance.network, instance.facility_nodes)
 
     for _ in range(max_rounds):
         rounds += 1
@@ -161,7 +168,7 @@ def refine_solution(
                     break
                 candidate_selection = list(selection)
                 candidate_selection[pos] = j_new
-                outcome = _reassign(instance, candidate_selection, None)
+                outcome = _reassign(instance, candidate_selection, pool)
                 if outcome is None:
                     continue
                 new_assignment, new_objective = outcome

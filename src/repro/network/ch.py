@@ -34,7 +34,11 @@ many-to-many bucket algorithm (Knopp et al.): one backward cone per
 *target* deposits ``(target, dist)`` entries into per-node buckets, then
 one forward sweep per *source group* scans the buckets of the nodes it
 settles -- a whole distance-matrix block without a single kernel
-Dijkstra.
+Dijkstra.  :class:`CHFacilityStream` runs the same bucket scan from a
+*paused* forward sweep, the way the kernel streams pause their
+Dijkstra: it settles only until the next facility in distance order is
+certified (the CH stopping rule, per facility), so a stream asked for
+its nearest facility touches a fraction of the upward search space.
 
 Bit-identity with the kernel path is by construction, not luck.  The
 kernel returns the minimum over all paths of the *left-to-right* IEEE
@@ -98,6 +102,15 @@ _WITNESS_SLACK = 1e-9
 #: instance generators differ by far more than this, so the band almost
 #: always holds exactly one candidate.
 _TIE_EPS = 1e-9
+
+#: A paused :class:`CHFacilityStream` pops a refine entry only while its
+#: key is below ``sweep_min * _FLOOR_FACTOR``.  A facility whose bound
+#: entry is still to come ends with ``best >= sweep_min / (1 + eps)``
+#: (its threshold ``best * (1 + eps)`` has not been passed, or its best
+#: candidate is yet to be settled), so its key ``best * (1 - eps)`` is at
+#: least ``sweep_min * (1 - eps) / (1 + eps)``.  The ``1 - 1e-15`` factor
+#: rounds that floor down past the few ulps its float products can lose.
+_FLOOR_FACTOR = (1.0 - _TIE_EPS) / (1.0 + _TIE_EPS) * (1.0 - 1e-15)
 
 #: Settled-node cap per witness search.  Caps only trade shortcuts for
 #: build speed: an unfinished witness search simply fails to certify an
@@ -558,9 +571,10 @@ class ContractionHierarchy:
         multi-source semantics).  Returns ``(settled, dist, parent)``
         where ``settled`` lists the non-stalled nodes in settle order
         and ``dist``/``parent`` are the shared generation-stamped label
-        arrays -- **valid only until the next forward sweep**; callers
-        that outlive their sweep (streams) must copy what they keep.
-        Seeds carry parent ``-1``.
+        arrays -- **valid only until the next forward sweep**.  Seeds
+        carry parent ``-1``.  :meth:`query` and :meth:`distance_block`
+        finish each sweep before the next; streams interleave, so
+        :class:`CHFacilityStream` pauses a sweep of its own instead.
         """
         _budget_checkpoint()
         self.materialize_caches()
@@ -1054,14 +1068,27 @@ class _TargetCones:
 class CHFacilityStream:
     """Drop-in for :class:`~repro.network.incremental.NearestFacilityStream`.
 
-    One forward sweep from the source scans the shared facility cones
-    (memoized on the hierarchy, so a stream pool pays the backward
-    sweeps once); per-facility candidates go into a refine heap keyed by
-    a conservative lower bound of the exact distance.  Popping a bound
-    entry re-folds the exact left-to-right value and re-pushes it;
-    popping an exact entry emits it -- facilities emit in non-decreasing
-    exact distance with ties on node id, matching the kernel stream's
-    ``(distance, node)`` order exactly.
+    A paused forward sweep from the source scans the shared facility
+    cones (memoized on the hierarchy, so a stream pool pays the backward
+    sweeps once) as it settles nodes; per-facility candidates go into a
+    refine heap keyed by a conservative lower bound of the exact
+    distance.  Popping a bound entry re-folds the exact left-to-right
+    value and re-pushes it; popping an exact entry emits it --
+    facilities emit in non-decreasing exact distance with ties on node
+    id, matching the kernel stream's ``(distance, node)`` order exactly.
+
+    The sweep settles only as far as the next emission needs (the CH
+    stopping rule of Geisberger et al., applied per facility to the
+    bucket scan).  A meeting node settled beyond ``best * (1 + eps)``
+    cannot add a candidate for a facility whose best candidate is
+    ``best``, so the facility gets its bound entry once the sweep
+    minimum passes that threshold; a refine entry pops only while its
+    key is below ``sweep_min * (1 - eps) / (1 + eps)``
+    (:data:`_FLOOR_FACTOR`), which bounds every bound entry still to
+    come.  A paused Dijkstra settles in the order of one run to the end,
+    so stall decisions, candidate lists, re-folds and the emission order
+    are exactly those of an exhaustive sweep; pausing saves settles
+    (``ch.upward_settles``) and bucket scans (``ch.bucket_scans``) only.
     """
 
     def __init__(
@@ -1071,56 +1098,45 @@ class CHFacilityStream:
         facility_nodes: Iterable[int],
     ) -> None:
         _budget_checkpoint()
-        self._source = int(source)
+        source = int(source)
+        n = ch._n_nodes
+        if not (0 <= source < n):
+            raise GraphError(f"node {source} outside 0..{n - 1}")
+        self._source = source
         self._ch = ch
         facilities = sorted({int(f) for f in facility_nodes})
-        cone = ch._cones_for(tuple(facilities))
-        self._cone = cone
-        settled, dist_f, parent_arr = ch._upward_sweep([self._source])
-        # The sweep's label arrays are reused by the next sweep, but
-        # this stream refines lazily across many later _advance calls --
-        # copy out the parent chains it may still walk (they stay within
-        # the settled set: only settled nodes relax).
-        self._parent_f = {x: parent_arr[x] for x in settled}
+        self._facilities = facilities
+        self._cone = ch._cones_for(tuple(facilities))
+        # The paused upward sweep: labels, tree parents (the re-folds
+        # walk them) and its heap.  A pop above its node's label is
+        # stale: relaxations push strictly improved labels only.
+        self._dist: dict[int, float] | None = {source: 0.0}
+        self._parent_f: dict[int, int] = {source: -1}
+        self._sweep: list[tuple[float, int]] = [(0.0, source)] if facilities else []
         self._lr_memo: dict[int, float] = {}
         n_fac = len(facilities)
-        best = [INF] * n_fac
-        thresh = [INF] * n_fac
-        cands: list[list[tuple[float, int]]] = [[] for _ in range(n_fac)]
-        _, c_scans = _SWEEP_COUNTERS.get()
-        scans = 0
-        bucket_get = cone.bucket.get
-        for x in settled:
-            entries = bucket_get(x)
-            if entries is None:
-                continue
-            scans += len(entries)
-            gf = dist_f[x]
-            for j, db in entries:
-                val = gf + db
-                if val <= thresh[j]:
-                    if val < best[j]:
-                        best[j] = val
-                        thresh[j] = val * (1.0 + _TIE_EPS)
-                    cands[j].append((val, x))
-        c_scans.add(scans)
-        self._cands = cands
+        # Facilities whose bound entry is still to come; at zero the
+        # sweep has nothing left to find.
+        self._unreleased = n_fac
+        self._best = [INF] * n_fac
+        # thresh[j] trails best[j] * (1 + eps): candidates above it can
+        # be neither the minimum nor a floating-point tie of it.  -inf
+        # once j's bound entry is in the refine heap.
+        self._thresh = [INF] * n_fac
+        self._cands: list[list[tuple[float, int]]] = [[] for _ in range(n_fac)]
+        # (thresh, j), pushed at every improvement of best[j]; j's list
+        # is complete once the sweep minimum exceeds its threshold.
+        self._pending: list[tuple[float, int]] = []
+        # Entries: (key, facility index, is_lower_bound); facilities are
+        # sorted, so index order is the kernel's node-id tie order.  The
+        # bound key best*(1 - eps) under-estimates the re-folded exact
+        # value by more than any association error, so every unemitted
+        # facility's exact distance stays >= its key (the stream-order
+        # invariant, and what SSPA's stop consumes via
+        # frontier_lower_bound).
+        self._heap: list[tuple[float, int, int]] = []
         self._found: list[tuple[int, float]] = []
         self._exhausted = False
-        # Entries: (key, facility, is_lower_bound); the bound key
-        # best*(1 - eps) under-estimates the re-folded exact value by
-        # more than any association error, so every unemitted facility's
-        # exact distance stays >= its key (the stream-order invariant,
-        # and what SSPA's stop consumes via frontier_lower_bound).
-        heap: list[tuple[float, int, int]] = []
-        for j, f in enumerate(facilities):
-            if best[j] != INF:
-                heap.append((best[j] * (1.0 - _TIE_EPS), f, 1))
-        heap.sort()
-        self._heap = heap
-        self._fac_index = {f: j for j, f in enumerate(facilities)}
-        if not heap:
-            self._exhausted = True
         metrics.active().counter("oracle.streams").add()
 
     @property
@@ -1136,11 +1152,11 @@ class CHFacilityStream:
     def facility_at(self, rank: int) -> tuple[int, float] | None:
         """Return the ``rank``-th nearest ``(facility_node, distance)``.
 
-        Zero-based; refines lazily.  ``None`` when fewer than
+        Zero-based; sweeps and refines lazily.  ``None`` when fewer than
         ``rank + 1`` facilities are reachable.
         """
         while len(self._found) <= rank and not self._exhausted:
-            self._advance()  # reprolint: disable=REP112 -- lazy stream: each heap entry is taken at most once across all calls
+            self._advance()  # reprolint: disable=REP112 -- lazy stream: each node is settled and each heap entry taken at most once across all calls
         if rank < len(self._found):
             return self._found[rank]
         return None
@@ -1151,20 +1167,27 @@ class CHFacilityStream:
         return item[1] if item is not None else INF
 
     def frontier_lower_bound(self) -> float:
-        """Cheap lower bound on the next unemitted facility's distance."""
-        heap = self._heap
-        return heap[0][0] if heap else INF
+        """Cheap lower bound on the next unemitted facility's distance.
 
-    def _exact(self, facility: int) -> float:
-        """Re-fold the exact kernel-identical distance to ``facility``."""
+        The smaller of the refine heap's top and the sweep floor
+        (:data:`_FLOOR_FACTOR`), which bounds every bound entry still to
+        come; ``inf`` once the sweep is over and the refine heap empty.
+        Never resumes the sweep.
+        """
+        sweep = self._sweep
+        floor = sweep[0][0] * _FLOOR_FACTOR if sweep else INF
+        heap = self._heap
+        if heap and heap[0][0] < floor:
+            return heap[0][0]
+        return floor
+
+    def _exact(self, j: int) -> float:
+        """Re-fold the exact kernel-identical distance to facility ``j``."""
         _budget_checkpoint()
-        j = self._fac_index[facility]
-        cands = self._cands[j]
-        best = min(val for val, _ in cands)
-        threshold = best * (1.0 + _TIE_EPS)
+        threshold = self._best[j] * (1.0 + _TIE_EPS)
         ch = self._ch
         result = INF
-        for val, x in cands:
+        for val, x in self._cands[j]:
             if val > threshold:
                 continue
             lr = ch._lr_value(x, self._parent_f, self._lr_memo, self._cone, j)
@@ -1186,19 +1209,106 @@ class CHFacilityStream:
         return None if self._exhausted else self._found[-1]
 
     def _advance(self, allowed: frozenset[int] | None = None) -> None:
-        """Refine until one more facility (in ``allowed``, if given) is emitted."""
+        """Sweep and refine until one more facility (in ``allowed``) is emitted."""
+        # One checkpoint up front and one per candidate passed over (the
+        # kernel stream's convention); the settle loop below stays
+        # call-free, as _upward_sweep's does.
         _budget_checkpoint()
         heap = self._heap
+        sweep = self._sweep
+        pending = self._pending
+        best = self._best
+        thresh = self._thresh
         heappush, heappop = heapq.heappush, heapq.heappop
-        while heap:
-            key, node, is_lb = heappop(heap)
-            if is_lb:
-                heappush(heap, (self._exact(node), node, 0))
+        heapreplace = heapq.heapreplace
+        while True:
+            sweep_min = sweep[0][0] if sweep else INF
+            while pending and pending[0][0] < sweep_min:
+                t, j = heappop(pending)
+                if t == thresh[j]:
+                    thresh[j] = -INF
+                    self._unreleased -= 1
+                    heappush(heap, (best[j] * (1.0 - _TIE_EPS), j, 1))
+            if sweep and not self._unreleased:
+                sweep.clear()
+                sweep_min = INF
+            if not sweep:
+                # Labels are dead weight once the sweep is over; the
+                # parents stay for the re-folds still to come.
+                self._dist = None
+            if heap and heap[0][0] < sweep_min * _FLOOR_FACTOR:
+                key, j, is_lb = heap[0]
+                if is_lb:
+                    # Re-fold before the entry leaves the heap: a budget
+                    # expiring inside the re-fold must not lose it.
+                    heapreplace(heap, (self._exact(j), j, 0))
+                    continue
+                heappop(heap)
+                node = self._facilities[j]
+                self._found.append((node, key))
+                if allowed is None or node in allowed:
+                    return
+                _budget_checkpoint()
                 continue
-            self._found.append((node, key))
-            if allowed is None or node in allowed:
-                return
-            _budget_checkpoint()
+            if not sweep:
+                break
+            # Settle until the sweep minimum passes the next threshold:
+            # a pending facility's, or the one that lets the refine top
+            # pop.
+            release_at = pending[0][0] if pending else INF
+            top = heap[0][0] if heap else INF
+            ch = self._ch
+            indptr, indices, weights = ch._up  # type: ignore[misc]
+            dptr, dind, dw = ch._down  # type: ignore[misc]
+            dist = self._dist
+            assert dist is not None
+            dist_get = dist.get
+            parent = self._parent_f
+            cands = self._cands
+            bucket_get = self._cone.bucket.get
+            stall_margin = 1.0 - _TIE_EPS
+            band = 1.0 + _TIE_EPS
+            settles = scans = 0
+            while sweep:
+                d = sweep[0][0]
+                if d > release_at or top < d * _FLOOR_FACTOR:
+                    break
+                u = heappop(sweep)[1]
+                if d > dist[u]:
+                    continue
+                # Stall-on-demand, as in ContractionHierarchy._upward_sweep.
+                stalled = False
+                for pos in range(dptr[u], dptr[u + 1]):
+                    dy = dist_get(dind[pos])
+                    if dy is not None and dy + dw[pos] < d * stall_margin:
+                        stalled = True
+                        break
+                if stalled:
+                    continue
+                settles += 1
+                entries = bucket_get(u)
+                if entries is not None:
+                    scans += len(entries)
+                    for j, db in entries:
+                        val = d + db
+                        if val <= thresh[j]:
+                            if val < best[j]:
+                                best[j] = val
+                                t = thresh[j] = val * band
+                                heappush(pending, (t, j))
+                                if t < release_at:
+                                    release_at = t
+                            cands[j].append((val, u))
+                for pos in range(indptr[u], indptr[u + 1]):
+                    v = indices[pos]
+                    nd = d + weights[pos]
+                    if nd < dist_get(v, INF):
+                        dist[v] = nd
+                        parent[v] = u
+                        heappush(sweep, (nd, v))
+            c_settles, c_scans = _SWEEP_COUNTERS.get()
+            c_settles.add(settles)
+            c_scans.add(scans)
         self._exhausted = True
 
 

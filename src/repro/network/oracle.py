@@ -583,16 +583,21 @@ class OracleFacilityStream:
         """Refine until one more facility (in ``allowed``, if given) is emitted."""
         _budget_checkpoint()
         heap = self._heap
-        heappush, heappop = heapq.heappush, heapq.heappop
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
         query = self._oracle.query
         src = self._source
         while heap:
-            key, node, is_lb = heappop(heap)
+            key, node, is_lb = heap[0]
             if is_lb:
+                # Query before the entry leaves the heap: a budget
+                # expiring inside the query must not lose it.
                 exact = query(src, node)
                 if exact != INF:
-                    heappush(heap, (exact, node, 0))
+                    heapreplace(heap, (exact, node, 0))
+                else:
+                    heappop(heap)
                 continue
+            heappop(heap)
             self._found.append((node, key))
             if allowed is None or node in allowed:
                 return

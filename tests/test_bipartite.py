@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import GraphError
+from repro.errors import BudgetExceeded, GraphError
 from repro.flow.bipartite import BipartiteState, _FilteredCursor
 from repro.network.ch import CHFacilityStream, ContractionHierarchy
 from repro.network.incremental import (
@@ -41,6 +41,19 @@ class _CheckpointMeter(budget.Budget):
 
     def check(self) -> None:
         self.checks += 1
+
+
+class _ExpireAt(budget.Budget):
+    """A budget whose ``k``-th deadline check raises."""
+
+    def __init__(self, k: int) -> None:
+        super().__init__(1e9)
+        self.left = k
+
+    def check(self) -> None:
+        self.left -= 1
+        if self.left == 0:
+            raise BudgetExceeded("test budget expired")
 
 
 def count_checkpoints(fn):
@@ -197,3 +210,20 @@ class TestFilteredCursor:
         assert one_pass.take() == order[9]
         assert one_pass.take() is None
         assert one_pass.rank == len(order)
+
+
+class TestBudgetExpiryMidStream:
+    @pytest.mark.parametrize("kind", ["kernel", "alt", "ch"])
+    def test_stream_stays_whole_after_any_expiry(self, kind):
+        # A deadline may expire at any checkpoint of a drain, including
+        # inside an oracle stream's re-fold; a later drain of the same
+        # stream (a serve batch after a shed one) must still emit the
+        # full order.
+        order = StreamCursor(make_stream(kind)).drain()
+        drain = StreamCursor(make_stream(kind)).drain
+        checks = count_checkpoints(drain)
+        for k in range(1, checks + 1):
+            stream = make_stream(kind)
+            with pytest.raises(BudgetExceeded), budget.use(_ExpireAt(k)):
+                StreamCursor(stream).drain()
+            assert StreamCursor(stream).drain() == order, k

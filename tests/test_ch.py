@@ -22,12 +22,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datagen.urban import grid_city
 from repro.errors import GraphError
+from repro.flow.bipartite import _FilteredCursor
 from repro.network import ch as ch_mod
 from repro.network import oracle as oracle_mod
 from repro.network.ch import CHFacilityStream, ContractionHierarchy
 from repro.network.graph import Network
-from repro.network.incremental import NearestFacilityStream, StreamPool
+from repro.network.incremental import (
+    NearestFacilityStream,
+    StreamCursor,
+    StreamPool,
+)
 from repro.network.kernels import many_source_lengths, workspace_for
 from repro.obs import metrics
 from tests.conftest import (
@@ -55,15 +61,19 @@ _weights = st.one_of(
 
 
 @st.composite
-def random_networks(draw) -> Network:
-    """Random small graphs: directed or not, parallel edges, islands."""
-    n = draw(st.integers(min_value=2, max_value=16))
+def random_networks(draw, min_nodes: int = 2, min_degree: int = 0) -> Network:
+    """Random small graphs: directed or not, parallel edges, islands.
+
+    At least ``min_degree * n`` edges are drawn before self-loops drop.
+    """
+    n = draw(st.integers(min_value=min_nodes, max_value=16))
     directed = draw(st.booleans())
     edges = draw(
         st.lists(
             st.tuples(
                 st.integers(0, n - 1), st.integers(0, n - 1), _weights
             ),
+            min_size=min_degree * n,
             max_size=3 * n,
         )
     )
@@ -221,6 +231,104 @@ class TestStreamEquivalence:
             ContractionHierarchy.build(_ISLANDS), 5, [0, 1, 3]
         )
         assert stream.facility_at(0) is None
+
+
+#: One step of a stream interleaving: ``("at", rank)`` asks the stream
+#: for a rank; ``("peek",)`` and ``("take",)`` drive a filtered cursor
+#: over the same stream.  Both frontier bounds are read after every step.
+_stream_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.integers(0, 16)),
+        st.sampled_from([("peek",), ("take",)]),
+    ),
+    max_size=24,
+)
+
+
+@st.composite
+def stream_cases(draw):
+    """A random network, facility subset, source and allowed subset.
+
+    Sparse draws rarely pause a sweep between two emissions, so every
+    network has at least as many edges as nodes (islands still occur).
+    """
+    network = draw(random_networks(min_nodes=4, min_degree=1))
+    nodes = list(range(network.n_nodes))
+    facilities = draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+    source = draw(st.sampled_from(nodes))
+    allowed = draw(st.frozensets(st.sampled_from(facilities)))
+    return network, facilities, source, allowed
+
+
+class TestPausedStreamProperties:
+    """The paused sweep must emit what the kernel stream emits.
+
+    Interleavings matter because the CH stream settles on demand: a
+    rank request, a filtered resume and a bound read may each meet the
+    sweep paused at a different point.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=stream_cases(), ops=_stream_ops)
+    @example(case=(_ISLANDS, [0, 1, 3], 5, frozenset({3})), ops=[("take",)])
+    @example(case=(_TIED, [1, 2, 3], 0, frozenset({3})), ops=[("peek",)])
+    def test_interleavings_match_kernel_stream(self, case, ops):
+        network, facilities, source, allowed = case
+        expected = StreamCursor(
+            NearestFacilityStream(network, source, facilities)
+        ).drain()
+        expected_allowed = [item for item in expected if item[0] in allowed]
+        hierarchy = ContractionHierarchy.build(network)
+        stream = CHFacilityStream(hierarchy, source, facilities)
+        cursor = _FilteredCursor(stream, allowed)
+        taken = 0
+        for op in [("peek",), *ops, ("at", len(expected))]:
+            # Neither bound may exceed the emission it bounds.
+            revealed = len(stream.found)
+            if revealed < len(expected):
+                assert stream.frontier_lower_bound() <= expected[revealed][1]
+            if taken < len(expected_allowed):
+                assert cursor.peek_lower_bound() <= expected_allowed[taken][1]
+            if op[0] == "at":
+                rank = op[1]
+                want = expected[rank] if rank < len(expected) else None
+                assert stream.facility_at(rank) == want
+            else:
+                want = (
+                    expected_allowed[taken]
+                    if taken < len(expected_allowed) else None
+                )
+                got = cursor.peek() if op[0] == "peek" else cursor.take()
+                assert got == want
+                if op[0] == "take" and got is not None:
+                    taken += 1
+            # Whatever was revealed is a prefix of the kernel's order.
+            assert stream.found == expected[: len(stream.found)]
+        assert stream.found == expected
+        assert cursor.drain() == expected_allowed[taken:]
+
+    def test_first_emission_settles_under_half_a_drain(self):
+        # On a road-like grid the nearest of 12 facilities is certified
+        # long before the upward search space is exhausted.
+        network = grid_city(31, 31, seed=0)
+        hierarchy = ContractionHierarchy.build(network)
+        rng = np.random.default_rng(7)
+        facilities = sorted(
+            int(v) for v in rng.choice(network.n_nodes, 12, replace=False)
+        )
+        sources = [int(v) for v in rng.integers(0, network.n_nodes, 50)]
+        # Build the facility cones outside the measured registries.
+        CHFacilityStream(hierarchy, sources[0], facilities)
+
+        def settles(rank):
+            reg = metrics.Registry()
+            with metrics.use(reg):
+                for s in sources:
+                    CHFacilityStream(hierarchy, s, facilities).facility_at(rank)
+            return reg.as_dict()["ch.upward_settles"]
+
+        first, drained = settles(0), settles(len(facilities))
+        assert 0 < first <= drained // 2
 
 
 class TestBuildAndPersistence:

@@ -10,8 +10,13 @@ from repro import solve, validate_solution
 from repro.core.instance import MCFSInstance
 from repro.core.local_search import RefinementReport, refine_solution, solve_wma_refined
 from repro.core.solution import MCFSSolution
+from repro.core.wma import WMASolver
+from repro.datagen.instances import clustered_instance
 from repro.errors import MatchingError
 from repro.flow.sspa import assign_all
+from repro.network import oracle as oracle_mod
+from repro.network.ch import CHFacilityStream, ContractionHierarchy
+from repro.obs import metrics
 from tests.conftest import build_line_network, build_random_instance
 
 
@@ -118,3 +123,43 @@ class TestSolveWmaRefined:
             validate_solution(inst, refined)
             assert refined.objective <= wma.objective + 1e-9
             assert refined.meta["algorithm"] == "wma+ls"
+
+
+class TestSharedStreamPool:
+    """Swap trials read one pool of streams through filtered cursors."""
+
+    def test_wma_ls_opens_at_most_two_streams_per_customer_node(self):
+        # WMA's own pool plus refinement's: one stream per distinct
+        # customer node each, however many swap trials run.
+        inst = clustered_instance(512, seed=0)
+        reg = metrics.Registry()
+        with metrics.use(reg):
+            refined = solve(inst, method="wma-ls")
+        assert refined.meta["ls_moves"] >= 1
+        streams = reg.as_dict()["incremental.streams"]
+        assert streams <= 2 * len(set(inst.customers))
+
+    def test_refine_under_ch_matches_kernel_path(self, monkeypatch):
+        inst = clustered_instance(256, seed=1)
+        base = WMASolver(inst).solve()
+        kernel, kernel_report = refine_solution(inst, base)
+        assert kernel_report.moves_accepted >= 1
+
+        resumes = []
+        original = CHFacilityStream.resume_until
+
+        def counting_resume(stream, allowed):
+            resumes.append(stream.source)
+            return original(stream, allowed)
+
+        monkeypatch.setattr(CHFacilityStream, "resume_until", counting_resume)
+        hierarchy = ContractionHierarchy.build(inst.network)
+        reg = metrics.Registry()
+        with metrics.use(reg), oracle_mod.use(hierarchy):
+            fast, fast_report = refine_solution(inst, base)
+        assert resumes, "filtered cursors never resumed a CH stream"
+        assert reg.as_dict()["incremental.streams"] == 0
+        assert fast.objective == kernel.objective
+        assert fast.selected == kernel.selected
+        assert fast.assignment == kernel.assignment
+        assert fast_report.moves_accepted == kernel_report.moves_accepted

@@ -11,13 +11,19 @@ for bit-identical cost.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from repro.core.instance import MCFSInstance
-from repro.errors import InvalidInstanceError, MatchingError
+from repro.datagen.urban import grid_city
+from repro.errors import InvalidInstanceError
 from repro.flow.bipartite import BipartiteState
 from repro.flow.sspa import assign_all
+from repro.network import oracle as oracle_mod
+from repro.network.ch import CHFacilityStream, ContractionHierarchy
+from repro.network.graph import Network
 from repro.obs import metrics
 from repro.serve import (
     AdmissionController,
@@ -506,6 +512,83 @@ class TestDeadlinesAndAdmission:
         assert counts["serve.repairs_component"] == 1
         assert counts["serve.shed_queue"] == 0
         assert counts["serve.cache_misses"] == 0
+
+
+class TestEngineUnderCH:
+    """A churn replay inside a CH scope must match the kernel replay."""
+
+    @staticmethod
+    def two_city_instance() -> MCFSInstance:
+        # Two 15x15 grid cities as two components, four facilities each:
+        # a departure dirties one city, and the scoped re-solve
+        # transplants the other city's rows, cursors and all.
+        east = grid_city(15, 15, seed=0)
+        west = grid_city(15, 15, seed=1)
+        n = east.n_nodes
+        network = Network(
+            2 * n,
+            list(east.edges()) + [(u + n, v + n, w) for u, v, w in west.edges()],
+        )
+        rng = np.random.default_rng(5)
+        facilities = sorted(int(v) for v in rng.choice(n, 4, replace=False))
+        facilities += sorted(int(v) + n for v in rng.choice(n, 4, replace=False))
+        return MCFSInstance(
+            network=network,
+            customers=tuple(int(v) for v in rng.integers(0, 2 * n, 6)),
+            facility_nodes=tuple(facilities),
+            capacities=(5,) * 8,
+            k=8,
+        )
+
+    def test_replay_matches_kernel_and_cold_solve(self, monkeypatch):
+        inst = self.two_city_instance()
+        trace = synthesize_trace(
+            inst.network,
+            300,
+            facility_nodes=inst.facility_nodes,
+            capacities=inst.capacities,
+            start_handle=len(inst.customers),
+            customer_nodes=inst.customers,
+            seed=3,
+            p_depart=0.35,
+            p_capacity=0.1,
+        )
+        kinds = {mutation_kind(m) for m in trace}
+        assert kinds == {"arrive", "depart", "capacity"}
+
+        # Count transplanted cursors whose CH stream is paused mid-sweep.
+        paused = []
+        original = BipartiteState.transplant_row
+
+        def transplant_row(state, i, other, other_row):
+            cursor = other._cursors[other_row]
+            stream = getattr(cursor, "_stream", None)
+            if isinstance(stream, CHFacilityStream) and stream._sweep:
+                paused.append(other_row)
+            return original(state, i, other, other_row)
+
+        monkeypatch.setattr(BipartiteState, "transplant_row", transplant_row)
+
+        def replay(scope):
+            registry = metrics.Registry()
+            with metrics.use(registry), scope:
+                engine = ServeEngine(inst, list(range(inst.l)))
+                for start in range(0, len(trace), 6):
+                    result = engine.apply(trace[start:start + 6])
+                    assert result.staleness == "optimal"
+                    assert result.rejected == result.shed == 0
+            return engine, registry.as_dict()
+
+        kernel, _ = replay(nullcontext())
+        assert not paused
+        hierarchy = ContractionHierarchy.build(inst.network)
+        fast, counts = replay(oracle_mod.use(hierarchy))
+        assert paused, "no transplanted cursor held a paused CH stream"
+        assert counts["serve.repairs_component"] > 0
+        assert counts["oracle.streams"] > 0
+        assert counts["incremental.streams"] == 0
+        assert fast.assignment() == kernel.assignment()
+        assert fast.cost == kernel.cost == cold_cost(fast)
 
 
 class TestServeCLI:
