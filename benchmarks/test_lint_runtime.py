@@ -1,10 +1,10 @@
 """Benchmark: reprolint wall-clock on the repo's own source tree.
 
 The static-analysis CI job runs the full rule set -- including the
-whole-program call graph and the interprocedural cost model -- on
-every push, so its runtime is a budget, not a curiosity: the lint must
-stay interactive.  This bench runs the engine exactly as CI does
-(committed baseline, all default rules) and appends a row to
+whole-program call graph -- on every push, so its runtime is a
+budget, not a curiosity: the lint must stay interactive.  This bench
+runs the engine exactly as CI does (committed baseline, all default
+rules) and appends a row to
 ``BENCH_lint.json`` recording the file count, the rule count, and the
 wall-clock, so regressions in the whole-program tiers' cost show up as
 a trend rather than a surprise CI timeout.
@@ -23,7 +23,7 @@ from repro.analysis import LintEngine, default_root, load_baseline
 from repro.analysis.rules import default_rules
 
 #: CI budget for one full-tree lint, in seconds.  A cold lint of the
-#: 93-file tree measured a median 2.7s in-process (3.7s through
+#: 92-file tree measured a median 1.7s in-process (2.4s through
 #: ``python -m repro.analysis``) on a 2-vCPU VM; 30s leaves room for
 #: slow shared runners while still catching a blow-up in a
 #: whole-program pass (which would be super-linear, not a constant

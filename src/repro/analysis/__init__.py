@@ -1,11 +1,13 @@
 """reprolint -- the repo-specific static-analysis pass.
 
 This package hosts the lint engine (``repro lint`` /
-``python -m repro.analysis``): per-file AST rules in
-:mod:`repro.analysis.rules`, the whole-program graph layer in
-:mod:`repro.analysis.graphs` (import graph, call graph, effect
-inference, layering contract), the ratchet baseline, and the CLI.  See
-``docs/dev.md`` for the rule catalogue and workflow.
+``python -m repro.analysis``): the rules in :mod:`repro.analysis.rules`
+(REP001..REP004, REP101..REP104), :mod:`repro.analysis.pathrules`
+(REP105..REP108) and :mod:`repro.analysis.perfrules` (REP110, REP111),
+the whole-program graph layer in :mod:`repro.analysis.graphs` (import
+graph, call graph, direct mutation inference, layering contract), the
+ratchet baseline, and the CLI.  See ``docs/dev.md`` for the rule
+catalogue and workflow.
 
 Layering contract (enforced by REP102 on itself): ``analysis`` imports
 nothing but the standard library at import time, so the linter runs

@@ -47,20 +47,10 @@ _SUPPRESS_RE = re.compile(
 #: justification; without one the directive is ignored.  The
 #: path-sensitive tier (REP105..REP108) guards serving-stack invariants
 #: where a silent opt-out is itself a bug, so it is justification-only
-#: like REP103; the cost tier (REP109..REP112) guards hot-path
+#: like REP103; the loop-cost rules (REP110, REP111) guard hot-path
 #: asymptotics, where an unexplained opt-out is a future regression.
 JUSTIFIED_RULES = frozenset(
-    {
-        "REP103",
-        "REP105",
-        "REP106",
-        "REP107",
-        "REP108",
-        "REP109",
-        "REP110",
-        "REP111",
-        "REP112",
-    }
+    {"REP103", "REP105", "REP106", "REP107", "REP108", "REP110", "REP111"}
 )
 
 #: Directories never linted (caches, VCS internals).

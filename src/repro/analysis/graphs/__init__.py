@@ -3,7 +3,7 @@
 This subpackage is the interprocedural layer under
 :mod:`repro.analysis.engine`: the per-file function index
 (:mod:`.functions`), an import graph (:mod:`.imports`), a
-name-resolution call graph (:mod:`.callgraph`), conservative effect
+name-resolution call graph (:mod:`.callgraph`), direct mutation
 inference (:mod:`.effects`), and the declared architecture layering
 (:mod:`.layering`).  Everything here is stdlib-only -- the linter must
 run on a tree that does not even import.
@@ -26,7 +26,6 @@ from repro.analysis.graphs.callgraph import (
     build_call_graph,
 )
 from repro.analysis.graphs.effects import (
-    MUTATION_KINDS,
     MUTATOR_METHODS,
     Effect,
     EffectAnalysis,
@@ -62,7 +61,6 @@ from repro.analysis.graphs.layering import (
 __all__ = [
     "DEFAULT_RANK",
     "LAYER_RANKS",
-    "MUTATION_KINDS",
     "MUTATOR_METHODS",
     "SOLVERS_NODE",
     "AnalysisProject",
@@ -130,7 +128,7 @@ class AnalysisProject:
 
     @property
     def effects(self) -> EffectAnalysis:
-        """Effect inference over the call graph (built on first access)."""
+        """Direct mutation effects per function (built on first access)."""
         if self._effects is None:
             self._effects = build_effects(self.calls)
         return self._effects

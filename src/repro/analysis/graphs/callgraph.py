@@ -125,18 +125,13 @@ class CallEdge:
     """A resolved call (or property access) site.
 
     ``kind`` is ``"call"``, ``"property"`` (attribute load of a property
-    getter), or ``"registry"`` (virtual dispatch edge).  ``binding``
-    maps the callee's parameter names to the caller-side *roots* of the
-    arguments that are plain name/attribute chains (``self``, a
-    parameter name, or a module-global name) -- the effect engine uses
-    it to translate callee effects into caller terms.
+    getter), or ``"registry"`` (virtual dispatch edge).
     """
 
     caller: str
     callee: str
     line: int
     kind: str = "call"
-    binding: tuple[tuple[str, str], ...] = ()
 
 
 class CallGraph:
@@ -467,14 +462,6 @@ class CallGraph:
             return self.functions[node_id].return_type
         return ""
 
-    def _root_of_chain(self, expr: ast.expr, types: dict[str, str]) -> str:
-        """Caller-side effect root of a name/attribute chain argument."""
-        while isinstance(expr, ast.Attribute):
-            expr = expr.value
-        if isinstance(expr, ast.Name):
-            return expr.id
-        return ""
-
     def _callee_of(
         self, module: str, call: ast.Call, types: dict[str, str]
     ) -> tuple[str, str] | None:
@@ -573,57 +560,8 @@ class CallGraph:
             callee_id = ctor
         else:
             callee_id = node_id
-        binding = self._bind_args(callee_id, call, types)
-        if kind == "func" and isinstance(call.func, ast.Attribute):
-            base = call.func.value
-            root = self._root_of_chain(base, types)
-            callee_info = self.functions.get(callee_id)
-            if (
-                root
-                and callee_info is not None
-                and callee_info.class_key
-                and isinstance(base, ast.Name)
-            ):
-                binding = (("self", root), *binding)
-        elif kind == "class":
-            pass  # constructor self is a fresh object, not a caller root
-        self.edges.append(
-            CallEdge(
-                caller=info.node_id,
-                callee=callee_id,
-                line=call.lineno,
-                kind="call",
-                binding=binding,
-            )
-        )
+        self.edges.append(CallEdge(info.node_id, callee_id, call.lineno))
         self._out = None
-
-    def _bind_args(
-        self, callee_id: str, call: ast.Call, types: dict[str, str]
-    ) -> tuple[tuple[str, str], ...]:
-        site = self._sites.get(callee_id)
-        if site is None:
-            return ()
-        func = site.node
-        params = [a.arg for a in (*func.args.posonlyargs, *func.args.args)]
-        callee_info = self.functions.get(callee_id)
-        if callee_info is not None and callee_info.class_key and params:
-            params = params[1:]  # drop self/cls for method-style binding
-        pairs: list[tuple[str, str]] = []
-        for param, arg in zip(params, call.args):
-            if isinstance(arg, ast.Starred):
-                break
-            root = self._root_of_chain(arg, types)
-            if root:
-                pairs.append((param, root))
-        kwnames = {a.arg for a in (*func.args.posonlyargs, *func.args.args,
-                                   *func.args.kwonlyargs)}
-        for keyword in call.keywords:
-            if keyword.arg and keyword.arg in kwnames:
-                root = self._root_of_chain(keyword.value, types)
-                if root:
-                    pairs.append((keyword.arg, root))
-        return tuple(pairs)
 
     def _resolve_property_access(
         self, info: FunctionInfo, node: ast.Attribute, types: dict[str, str]
@@ -634,16 +572,8 @@ class CallGraph:
         target = self._class_attr(base_type, node.attr)
         if target is None or not self._is_property_node(target):
             return
-        root = self._root_of_chain(node.value, types)
-        binding = (("self", root),) if root else ()
         self.edges.append(
-            CallEdge(
-                caller=info.node_id,
-                callee=target,
-                line=node.lineno,
-                kind="property",
-                binding=binding,
-            )
+            CallEdge(info.node_id, target, node.lineno, kind="property")
         )
         self._out = None
 

@@ -6,8 +6,8 @@ node is owned by its parent, and is a function of its own).  The engine
 indexes each parsed file once
 (:attr:`repro.analysis.engine.FileContext.functions`, and
 ``FileContext.nodes`` for rules that scan the whole file), and the
-rules, the call graph, effect inference and the cost model all read
-that index instead of re-walking the tree.
+rules, the call graph and effect inference all read that index
+instead of re-walking the tree.
 
 Also home to the call-name helpers and the lexical checkpoint test every
 layer shares.  Stdlib-only, like the rest of ``analysis/``.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.analysis.costmodel import FunctionLoops
+    from repro.analysis.perfrules import FunctionLoops
 
 __all__ = [
     "FuncDef",
@@ -106,8 +106,8 @@ class FunctionSite:
     chain: tuple[FuncDef, ...]
     #: :func:`owned_nodes` of :attr:`node`.
     owned: list[ast.AST] = field(repr=False)
-    #: The call-oracle-free loop classification REP110 and REP111 share
-    #: (:func:`repro.analysis.costmodel.local_loops`), made on first use.
+    #: The loop classification REP110 and REP111 share
+    #: (:func:`repro.analysis.perfrules.local_loops`), made on first use.
     loops: FunctionLoops | None = field(default=None, repr=False)
 
 

@@ -15,19 +15,12 @@ least one new finding (or stale baseline entries under ``--strict``),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 from repro.analysis.baseline import load_baseline, save_baseline
-from repro.analysis.costmodel import (
-    DEFAULT_CEILING,
-    CostModel,
-    find_budgets_file,
-    load_budgets,
-)
 from repro.analysis.engine import LintEngine, default_root
 from repro.analysis.reports import GRAPH_FORMATS, GRAPH_KINDS, render_graph
 
@@ -106,21 +99,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "the merge base's) and fail if any key appeared or grew -- the "
         "baseline may only shrink",
     )
-    parser.add_argument(
-        "--cost",
-        action="store_true",
-        help="export the hot-path cost tree instead of linting "
-        "(interprocedural loop-cost summaries; format follows "
-        "--graph-format)",
-    )
-    parser.add_argument(
-        "--cost-ratchet",
-        metavar="OLD_BUDGETS",
-        default=None,
-        help="compare cost-budgets.toml against an older copy (e.g. the "
-        "merge base's) and fail if any ceiling appeared or grew -- "
-        "budget growth must ride a PR that visibly changes the file",
-    )
 
 
 def _default_baseline_path(root: Path) -> Path | None:
@@ -160,29 +138,6 @@ def ratchet_check(
     return violations
 
 
-def budget_ratchet_check(
-    old_path: str | Path, new_path: str | Path | None
-) -> list[str]:
-    """Ceilings that appeared or grew between two budget files.
-
-    Mirrors the baseline ratchet: a cost ceiling may disappear or
-    shrink silently, but growth must ride a PR that changes
-    ``cost-budgets.toml`` -- CI runs this check only when the file did
-    *not* change, so any growth it sees slipped in unreviewed.
-    """
-    old = load_budgets(old_path)
-    new = load_budgets(new_path) if new_path is not None else {}
-    violations: list[str] = []
-    for module in sorted(new):
-        before = old.get(module, DEFAULT_CEILING)
-        if new[module] > before:
-            violations.append(
-                f"{module}: depth {before} -> {new[module]}"
-                + ("" if module in old else " (new budget entry)")
-            )
-    return violations
-
-
 def run_from_args(args: argparse.Namespace) -> int:
     """Execute a lint run described by parsed arguments."""
     from repro.analysis.rules import default_rules
@@ -206,40 +161,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"reprolint: wrote {args.output}")
         else:
             print(report)
-        return 0
-
-    if args.cost:
-        project = LintEngine(root, rules=[]).parse_project()
-        model = CostModel(project)
-        budgets_file = find_budgets_file(root)
-        budgets = load_budgets(budgets_file) if budgets_file else {}
-        if args.graph_format == "dot":
-            report = model.to_dot(budgets)
-        else:
-            report = json.dumps(
-                model.as_dict(budgets), indent=2, sort_keys=True
-            )
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(report + "\n")
-            print(f"reprolint: wrote {args.output}")
-        else:
-            print(report)
-        return 0
-
-    if args.cost_ratchet:
-        current_budgets = find_budgets_file(root)
-        violations = budget_ratchet_check(args.cost_ratchet, current_budgets)
-        if violations:
-            print(
-                "reprolint cost ratchet: budget ceilings grew without a "
-                "visible cost-budgets.toml change:",
-                file=sys.stderr,
-            )
-            for line in violations:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print("reprolint cost ratchet: no ceiling grew (ok)")
         return 0
 
     if args.ratchet_check:

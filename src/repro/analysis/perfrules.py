@@ -1,78 +1,346 @@
-"""Performance (cost-model) reprolint rules (REP109..REP112).
+"""Loop-cost reprolint rules (REP110, REP111) and their loop classifier.
 
-The fourth analysis tier: :mod:`repro.analysis.costmodel` classifies
-every loop against a two-valued size lattice (bounded < instance) and
-propagates per-function nesting-depth summaries through the call graph;
-these rules turn the summaries into findings.
+The paper's solvers live or die by their asymptotic behaviour, and a
+test-sized instance will not show an accidental quadratic.  So every
+loop of every function is classified by what it ranges over: an
+**instance-sized** collection (``network.nodes``/``edges``, customers,
+facilities, selected sets, parameters annotated as collections, results
+of calls) or a **bounded** constant.  The lattice is
+two-valued (``bounded < instance``): anything the classifier cannot
+prove bounded is instance-sized, the same conservatism REP101 applies.
 
-All four are **error** severity and justification-only
-(:data:`repro.analysis.engine.JUSTIFIED_RULES`): an accidentally
-quadratic loop on a hot path is a silent regression the test suite will
-not catch at test-sized instances, so opting out must leave a reviewed
-reason behind.
-
-- **REP109** -- hot-path complexity budget: functions reachable from the
-  solver registry / ``ServeEngine.apply`` / oracle query entry points
-  must not exceed their module's declared cost ceiling
-  (``cost-budgets.toml``; default depth 2).
 - **REP110** -- loop-invariant allocation: container construction,
   comprehension, or str-concat inside an instance-sized loop whose
   operands never change across iterations must be hoisted.
 - **REP111** -- repeated linear membership: ``x in <list/tuple>`` inside
   an instance-sized loop demands a set/dict.
-- **REP112** -- hidden-rescan calls: calling a function whose own
-  summary is instance-sized from inside an instance-sized loop is how
-  quadratic blowups actually ship; each such hot-path site needs an
-  explicit justification.
 
-REP110/REP111 are per-file and share one loop classification per
-function (:func:`~repro.analysis.costmodel.local_loops`); REP109/REP112
-are whole-program and read the interprocedural summaries.
+Both are per-file, **error** severity and justification-only
+(:data:`repro.analysis.engine.JUSTIFIED_RULES`): opting out must leave
+a reviewed reason behind.  They share one classification per function
+(:func:`local_loops`).  Stdlib-only, like the rest of ``analysis/``.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
+from dataclasses import dataclass, field
 
-from repro.analysis.costmodel import (
-    DEFAULT_CEILING,
-    CostModel,
-    find_budgets_file,
-    load_budgets,
-    local_loops,
-)
 from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
-from repro.analysis.graphs import AnalysisProject, FuncDef, call_name
-from repro.analysis.rules import BudgetReachabilityRule, Rule
+from repro.analysis.graphs import FuncDef, FunctionSite, call_name
+from repro.analysis.rules import Rule
 
 __all__ = [
     "PERF_RULES",
-    "HiddenRescanRule",
-    "HotPathBudgetRule",
+    "FunctionLoops",
     "LinearMembershipRule",
+    "LoopInfo",
     "LoopInvariantAllocRule",
-    "cost_model_for",
+    "local_loops",
 ]
 
+#: Collection names (final attribute/variable identifier, leading
+#: underscores stripped) that hold instance-sized data in this codebase.
+INSTANCE_COLLECTIONS = frozenset(
+    {
+        "nodes",
+        "edges",
+        "arcs",
+        "customers",
+        "customer_nodes",
+        "facilities",
+        "facility_nodes",
+        "capacities",
+        "candidates",
+        "selected",
+        "assignment",
+        "assigned",
+        "matched",
+        "settled",
+        "rows",
+        "handles",
+        "supply",
+        "neighbors",
+        "frontier",
+        "heap",
+        "queue",
+    }
+)
 
-def cost_model_for(project: AnalysisProject) -> CostModel:
-    """The (memoised) cost model of one analysis project.
+#: Scalar names that denote an instance size (``range(state.m)``).
+INSTANCE_SCALARS = frozenset(
+    {"m", "l", "n", "k", "n_nodes", "n_edges", "n_customers",
+     "n_facilities", "n_candidates", "n_selected"}
+)
 
-    Several rules consult the same summaries; the model is built once
-    per project and stashed on it, like the project's own lazily built
-    graphs (``project.calls``).
+#: Builtins whose result is only as large as their (classified) inputs.
+_BOUNDED_WRAPPERS = frozenset(
+    {"range", "enumerate", "zip", "reversed", "sorted", "list", "tuple",
+     "set", "frozenset", "iter", "map", "filter", "len"}
+)
+
+#: ``.items()``-style methods: classify the receiver instead.
+_VIEW_METHODS = frozenset({"items", "keys", "values"})
+
+#: Annotation bases meaning "a collection scaling with the instance".
+_COLLECTION_ANNOTATIONS = frozenset(
+    {"list", "dict", "set", "frozenset", "deque", "ndarray", "Sequence",
+     "MutableSequence", "Iterable", "Iterator", "Generator", "Mapping",
+     "MutableMapping", "AbstractSet", "MutableSet", "Collection",
+     "Counter", "defaultdict", "OrderedDict"}
+)
+
+
+def _final_name(expr: ast.expr) -> str:
+    """Last identifier of a Name/Attribute chain, underscores stripped."""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr.lstrip("_")
+    if isinstance(expr, ast.Name):
+        return expr.id.lstrip("_")
+    return ""
+
+
+def _annotation_base(ann: ast.expr | None) -> str:
+    """Unsubscripted final name of an annotation (``Sequence`` for
+    ``Sequence[int]``, handles string annotations and ``X | None``)."""
+    if ann is None:
+        return ""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        try:
+            ann = ast.parse(ann.value, mode="eval").body
+        except SyntaxError:
+            return ""
+    if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+        left = _annotation_base(ann.left)
+        return left or _annotation_base(ann.right)
+    if isinstance(ann, ast.Subscript):
+        base = _annotation_base(ann.value)
+        if base == "Optional":
+            return _annotation_base(ann.slice)
+        return base
+    if isinstance(ann, (ast.Name, ast.Attribute)):
+        return _final_name(ann)
+    return ""
+
+
+def _is_collection_annotation(ann: ast.expr | None) -> bool:
+    return _annotation_base(ann) in _COLLECTION_ANNOTATIONS
+
+
+Loop = ast.For | ast.AsyncFor | ast.While
+
+
+@dataclass(eq=False)
+class LoopInfo:
+    """One classified loop: its kind and instance-loop nesting depth.
+
+    ``depth`` counts the enclosing instance-sized loops, this one
+    included when it is instance-sized itself.
     """
-    model = getattr(project, "_cost_model", None)
-    if not isinstance(model, CostModel) or model.project is not project:
-        model = CostModel(project)
-        project._cost_model = model  # type: ignore[attr-defined]
-    return model
+
+    node: Loop
+    kind: str  # "instance" | "bounded"
+    depth: int
 
 
-def _assigned_names(loop: ast.For | ast.While) -> set[str]:
+@dataclass(eq=False)
+class FunctionLoops:
+    """The classified loops of one function, in source order."""
+
+    loops: list[LoopInfo] = field(default_factory=list)
+
+    def instance_loops(self) -> list[LoopInfo]:
+        """The instance-sized loops, in source order."""
+        return [info for info in self.loops if info.kind == "instance"]
+
+
+class _LoopClassifier:
+    """Classifies the loops of one function against the size lattice."""
+
+    def __init__(self, func: FuncDef, owned: list[ast.AST]) -> None:
+        self.func = func
+        self.owned = owned
+        self.instance_names = self._instance_typed_names()
+
+    # -- name typing ---------------------------------------------------
+    def _instance_typed_names(self) -> frozenset[str]:
+        """Parameter/local names bound to instance-sized collections."""
+        names: set[str] = set()
+        args = self.func.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+            if _is_collection_annotation(arg.annotation) or (
+                arg.arg.lstrip("_") in INSTANCE_COLLECTIONS
+            ):
+                names.add(arg.arg)
+        changed = True
+        while changed:
+            changed = False
+            for node in self.owned:
+                target: ast.expr | None = None
+                value: ast.expr | None = None
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                elif isinstance(node, ast.AnnAssign):
+                    target, value = node.target, node.value
+                    if _is_collection_annotation(node.annotation) and isinstance(
+                        target, ast.Name
+                    ) and target.id not in names:
+                        names.add(target.id)
+                        changed = True
+                if (
+                    isinstance(target, ast.Name)
+                    and value is not None
+                    and target.id not in names
+                    and self._instance_expr(value, names)
+                ):
+                    names.add(target.id)
+                    changed = True
+        return frozenset(names)
+
+    def _instance_expr(self, expr: ast.expr, names: set[str]) -> bool:
+        """Whether an assigned expression is an instance-sized collection.
+
+        Only *propagating* forms count here (aliases, sorted/list of an
+        instance collection); literals stay bounded so ``x = [a, b]``
+        never taints ``x``.
+        """
+        if isinstance(expr, ast.Name):
+            return expr.id in names or (
+                expr.id.lstrip("_") in INSTANCE_COLLECTIONS
+            )
+        if isinstance(expr, ast.Attribute):
+            return _final_name(expr) in INSTANCE_COLLECTIONS
+        if isinstance(expr, ast.Call):
+            name = expr.func.id if isinstance(expr.func, ast.Name) else ""
+            if name in ("sorted", "list", "tuple", "set", "frozenset"):
+                return bool(expr.args) and self._instance_expr(
+                    expr.args[0], names
+                )
+        if isinstance(
+            expr, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        ):
+            return any(
+                self._is_instance_iterable(g.iter, names)
+                for g in expr.generators
+            )
+        return False
+
+    # -- iterable classification ---------------------------------------
+    def _is_instance_iterable(
+        self, expr: ast.expr, names: set[str] | frozenset[str]
+    ) -> bool:
+        """Instance-sized verdict for a ``for`` iterable expression."""
+        if isinstance(expr, ast.Constant):
+            return False
+        if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
+            # Literal containers are bounded by their arity; only an
+            # instance-sized *element* (a nested iterable) taints them.
+            return any(
+                self._is_instance_iterable(e, names)
+                for e in expr.elts
+                if not isinstance(e, ast.Constant)
+            )
+        if isinstance(expr, ast.Name):
+            return expr.id in names or (
+                expr.id.lstrip("_") in INSTANCE_COLLECTIONS
+            )
+        if isinstance(expr, ast.Attribute):
+            final = _final_name(expr)
+            return (
+                final in INSTANCE_COLLECTIONS or final in INSTANCE_SCALARS
+            )
+        if isinstance(expr, ast.Subscript):
+            # ``adj[u]`` -- a row of an instance-sized table: the row may
+            # be small but iterating rows inside a node loop sums to the
+            # instance; stay conservative and classify the base.
+            return self._is_instance_iterable(expr.value, names)
+        if isinstance(expr, ast.Call):
+            return self._classify_call(expr, names)
+        if isinstance(expr, ast.IfExp):
+            return self._is_instance_iterable(
+                expr.body, names
+            ) or self._is_instance_iterable(expr.orelse, names)
+        if isinstance(expr, ast.BinOp):
+            return self._is_instance_iterable(
+                expr.left, names
+            ) or self._is_instance_iterable(expr.right, names)
+        if isinstance(expr, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            return any(
+                self._is_instance_iterable(g.iter, names)
+                for g in expr.generators
+            )
+        if isinstance(expr, ast.Starred):
+            return self._is_instance_iterable(expr.value, names)
+        # Anything else (await, lambda results, ...) -- data dependent.
+        return True
+
+    def _classify_call(
+        self, call: ast.Call, names: set[str] | frozenset[str]
+    ) -> bool:
+        func = call.func
+        name = (
+            func.id
+            if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else ""
+        )
+        if name in _BOUNDED_WRAPPERS:
+            return any(
+                self._is_instance_iterable(arg, names) for arg in call.args
+            )
+        if name in _VIEW_METHODS and isinstance(func, ast.Attribute):
+            return self._is_instance_iterable(func.value, names)
+        # Any other call: data-dependent (REP101's conservatism).
+        return True
+
+    # -- the walk ------------------------------------------------------
+    def run(self) -> FunctionLoops:
+        result = FunctionLoops()
+        self._walk_body(self.func.body, 0, result.loops)
+        return result
+
+    def _walk_body(
+        self, body: list[ast.stmt], depth: int, loops: list[LoopInfo]
+    ) -> None:
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # nested defs are classified on their own
+            if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
+                # A while loop's trip count is data-dependent by
+                # construction.
+                instance = isinstance(stmt, ast.While) or (
+                    self._is_instance_iterable(stmt.iter, self.instance_names)
+                )
+                inner = depth + 1 if instance else depth
+                kind = "instance" if instance else "bounded"
+                loops.append(LoopInfo(stmt, kind, inner))
+                self._walk_body(stmt.body, inner, loops)
+                self._walk_body(stmt.orelse, depth, loops)
+                continue
+            sub: list[list[ast.stmt]] = []
+            if isinstance(stmt, ast.If):
+                sub = [stmt.body, stmt.orelse]
+            elif isinstance(stmt, ast.Try):
+                sub = [stmt.body, stmt.orelse, stmt.finalbody]
+                sub.extend(h.body for h in stmt.handlers)
+            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                sub = [stmt.body]
+            elif isinstance(stmt, ast.Match):
+                sub = [case.body for case in stmt.cases]
+            for block in sub:
+                self._walk_body(block, depth, loops)
+
+
+def local_loops(site: FunctionSite) -> FunctionLoops:
+    """``site``'s loop classification, made once per run and shared by
+    REP110 and REP111."""
+    if site.loops is None:
+        site.loops = _LoopClassifier(site.node, site.owned).run()
+    return site.loops
+
+
+def _assigned_names(loop: Loop) -> set[str]:
     """Names (re)bound anywhere inside ``loop`` -- the LICM kill set.
 
     This is the binding criterion of the reaching-definitions solver
@@ -157,7 +425,7 @@ def _closure_effects(func: FuncDef) -> dict[str, set[str]]:
 
 
 def _loop_variant_names(
-    loop: ast.For | ast.While, closure_effects: dict[str, set[str]]
+    loop: Loop, closure_effects: dict[str, set[str]]
 ) -> set[str]:
     """Every name whose value may change across iterations of ``loop``."""
     variant = _assigned_names(loop) | _mutated_names(loop)
@@ -214,7 +482,7 @@ def _is_invariant(
     return not (_free_names(expr) & assigned)
 
 
-def _mutated_in(loop: ast.For | ast.While, name: str) -> bool:
+def _mutated_in(loop: Loop, name: str) -> bool:
     """Whether ``name`` is mutated in place inside ``loop``.
 
     Catches the fresh-container idiom: ``acc = dict(seed)`` followed by
@@ -261,74 +529,6 @@ _ALLOC_CALLS = frozenset(
 
 
 # ----------------------------------------------------------------------
-# REP109 -- hot-path complexity budget
-# ----------------------------------------------------------------------
-class HotPathBudgetRule(Rule):
-    """Hot-path functions must respect their module's cost ceiling.
-
-    Every function reachable from the solver registry,
-    ``ServeEngine.apply``, or an oracle query entry point gets an
-    interprocedural cost summary; a summary deeper than the module's
-    ceiling in ``cost-budgets.toml`` (default depth 2 -- e.g. ``n*m``)
-    is an error.  Raising a ceiling requires editing the committed
-    budget file, which the CI ratchet watches: budgets may only grow in
-    a PR that visibly changes the file.
-    """
-
-    id = "REP109"
-    severity = "error"
-    title = "hot-path cost over module budget"
-    hint = (
-        "restructure the loop nest, or raise the module ceiling in "
-        "cost-budgets.toml with a reviewed justification"
-    )
-
-    #: Test override: explicit budgets path (else found near the root).
-    budgets_path: str | Path | None = None
-
-    def start(self) -> None:
-        self._root: Path | None = None
-
-    def visit(self, ctx: FileContext) -> Iterator[Finding]:
-        if self._root is None:
-            path = str(ctx.path).replace("\\", "/")
-            if path.endswith(ctx.rel):
-                self._root = Path(path[: -len(ctx.rel)].rstrip("/") or "/")
-        return iter(())
-
-    def _budgets(self) -> dict[str, int]:
-        path = self.budgets_path
-        if path is None and self._root is not None:
-            path = find_budgets_file(self._root)
-        return load_budgets(path) if path is not None else {}
-
-    def finalize(self) -> Iterator[Finding]:
-        model = cost_model_for(self.project)
-        budgets = self._budgets()
-        calls = self.project.calls
-        for node_id in sorted(model.hot_nodes()):
-            summary = model.summaries[node_id]
-            info = calls.functions[node_id]
-            ceiling = budgets.get(info.module, DEFAULT_CEILING)
-            if summary.total_depth <= ceiling:
-                continue
-            rel = self.project.rel_of_module(info.module) or ""
-            via = (
-                f" (via {summary.via} at line {summary.via_line})"
-                if summary.via
-                else ""
-            )
-            yield self.finding(
-                rel,
-                info.line,
-                0,
-                info.qualname,
-                f"hot-path function costs {summary.cost_label}{via}, over "
-                f"the '{info.module}' ceiling of depth {ceiling}",
-            )
-
-
-# ----------------------------------------------------------------------
 # REP110 -- loop-invariant allocation in instance-sized loops
 # ----------------------------------------------------------------------
 class LoopInvariantAllocRule(Rule):
@@ -349,13 +549,13 @@ class LoopInvariantAllocRule(Rule):
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         for site in ctx.functions:
-            info = local_loops(site)
-            if not info.instance_loops():
+            loops = local_loops(site).instance_loops()
+            if not loops:
                 continue
             qual = site.qualname
             effects = _closure_effects(site.node)
             seen: set[tuple[int, int]] = set()
-            for loop_info in info.instance_loops():
+            for loop_info in loops:
                 loop = loop_info.node
                 assigned = _loop_variant_names(loop, effects)
                 for stmt in ast.walk(loop):
@@ -441,7 +641,7 @@ class LinearMembershipRule(Rule):
 
     A membership probe against a list or tuple scans linearly on every
     iteration; over an instance-sized loop that multiplies into the
-    very quadratic the cost tier exists to stop.  The probe target must
+    very quadratic these rules exist to stop.  The probe target must
     become a ``set``/``dict`` (built once, O(1) lookups).  Constant
     tuple literals (``kind in ("a", "b")``) are idiomatic enum checks
     and exempt.
@@ -459,15 +659,13 @@ class LinearMembershipRule(Rule):
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         for site in ctx.functions:
-            info = local_loops(site)
-            if not any(
-                li.kind == "instance" for li in info.loops
-            ):
+            loops = local_loops(site).instance_loops()
+            if not loops:
                 continue
             qual = site.qualname
             linear = self._linear_names(site.node)
             seen: set[tuple[int, int]] = set()
-            for loop_info in info.instance_loops():
+            for loop_info in loops:
                 loop = loop_info.node
                 assigned = _assigned_names(loop)
                 for node in ast.walk(loop):
@@ -544,75 +742,7 @@ class LinearMembershipRule(Rule):
         return None
 
 
-# ----------------------------------------------------------------------
-# REP112 -- hidden-rescan calls on hot paths
-# ----------------------------------------------------------------------
-class HiddenRescanRule(Rule):
-    """Instance-sized calls inside instance-sized hot loops multiply.
-
-    A call site sitting inside an instance-sized loop of a hot-path
-    function, whose callee's own summary is instance-sized, composes
-    to at least quadratic work -- invisible to any per-function reading
-    of the code.  Some such sites are the algorithm (SSPA re-runs
-    Dijkstra per augmentation); each one must carry a justification
-    naming why the composition is intended.
-
-    Scoped to the hot-path modules REP101 already polices
-    (``network/``/``flow/``/``serve/`` + ``core/wma.py``): that is
-    where a hidden rescan costs real serving latency.
-    """
-
-    id = "REP112"
-    severity = "error"
-    title = "instance-sized call inside instance-sized loop"
-    hint = (
-        "restructure (batch/precompute), or justify the composition: "
-        "# reprolint: disable=REP112 -- <why this multiplies by design>"
-    )
-
-    HOT_PREFIXES = BudgetReachabilityRule.HOT_PREFIXES
-    HOT_FILES = BudgetReachabilityRule.HOT_FILES
-
-    def finalize(self) -> Iterator[Finding]:
-        model = cost_model_for(self.project)
-        calls = self.project.calls
-        seen: set[tuple[str, int, str]] = set()
-        for edge in calls.edges:
-            if edge.kind not in ("call", "property"):
-                continue
-            caller = calls.functions.get(edge.caller)
-            if caller is None:
-                continue
-            rel = self.project.rel_of_module(caller.module) or ""
-            if not (
-                rel.startswith(self.HOT_PREFIXES) or rel in self.HOT_FILES
-            ):
-                continue
-            depth_here = model.depth_at(edge.caller, edge.line)
-            if depth_here < 1:
-                continue
-            callee_summary = model.summary(edge.callee)
-            if callee_summary is None or callee_summary.total_depth < 1:
-                continue
-            key = (edge.caller, edge.line, edge.callee)
-            if key in seen:
-                continue
-            seen.add(key)
-            callee_name = edge.callee.rsplit(".", 1)[-1]
-            yield self.finding(
-                rel,
-                edge.line,
-                0,
-                f"{caller.qualname}:{edge.callee}",
-                f"call to '{callee_name}' ({callee_summary.cost_label}) "
-                f"inside an instance-sized loop of '{caller.qualname}' "
-                "composes to hidden super-linear work",
-            )
-
-
 PERF_RULES: tuple[type[Rule], ...] = (
-    HotPathBudgetRule,
     LoopInvariantAllocRule,
     LinearMembershipRule,
-    HiddenRescanRule,
 )

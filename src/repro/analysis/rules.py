@@ -709,7 +709,7 @@ class SharedStateSafetyRule(Rule):
             fresh_self = (
                 info.qualname.rsplit(".", 1)[-1] in self._FRESH_OBJECT_METHODS
             )
-            for effect in effects.mutations(node_id, direct_only=True):
+            for effect in effects.mutations(node_id):
                 if fresh_self and effect.root == "self":
                     continue
                 if not self._protected_root(info, effect.root):
@@ -886,9 +886,10 @@ class DeadExportRule(Rule):
 
 
 #: Rule registry in id order; ``repro lint --list-rules`` prints this.
-#: The path-sensitive tier (REP105..REP108) registers itself through
-#: :func:`default_rules` -- :mod:`repro.analysis.pathrules` subclasses
-#: :class:`Rule`, so importing it here eagerly would be a cycle.
+#: The path-sensitive tier (REP105..REP108) and the loop-cost rules
+#: (REP110, REP111) register themselves through :func:`default_rules` --
+#: their modules subclass :class:`Rule`, so importing them here eagerly
+#: would be a cycle.
 RULES: tuple[type[Rule], ...] = (
     ObsNameRegistryRule,
     SolverRegistrationRule,

@@ -235,7 +235,7 @@ class WMASolver:
                     for i in range(m):
                         while state.assignment_count(i) < demand[i]:
                             try:
-                                target = find_pair(state, i, self.threshold_rule)  # reprolint: disable=REP112 -- Theorem 1: at most one augmentation per customer; reveals bounded by the WMA analysis
+                                target = find_pair(state, i, self.threshold_rule)
                             except MatchingError:
                                 # No facility with free capacity is
                                 # reachable: freeze this customer's
@@ -254,7 +254,7 @@ class WMASolver:
                         for j in range(l)
                     ]
                 with tracing.span("wma.cover"):
-                    cover = check_cover(  # reprolint: disable=REP112 -- Alg. 2 gate: one cover check per round, costing only the gain levels its greedy visits
+                    cover = check_cover(
                         state.assigned,
                         m,
                         k,

@@ -125,7 +125,7 @@ class FlowNetwork:
             if not sources:
                 break
             source = sources[0]
-            dist, parent_arc = self._dijkstra(source, potential)  # reprolint: disable=REP112 -- successive shortest paths: one Dijkstra per unit of flow is the algorithm
+            dist, parent_arc = self._dijkstra(source, potential)
             # Nearest deficit node reachable from the source.
             target = None
             best = INF

@@ -281,10 +281,12 @@ def find_pair(
     m = state.m
 
     while True:
-        dist, parent, settled, target, sp_len = _residual_dijkstra(  # reprolint: disable=REP112 -- SSPA core: one residual Dijkstra per augmentation; Theorem 1 bounds the count
+        # One residual Dijkstra per augmentation, and Theorem 1 bounds the
+        # count; the O(settled) stop bound is dominated by the search.
+        dist, parent, settled, target, sp_len = _residual_dijkstra(
             state, customer
         )
-        bound, best_customer = _stop_bound(state, dist, settled, sp_len, rule)  # reprolint: disable=REP112 -- O(settled) stop-bound per augmentation, dominated by the Dijkstra it prunes
+        bound, best_customer = _stop_bound(state, dist, settled, sp_len, rule)
 
         if target is not None and sp_len <= bound + _EPS:
             break
@@ -360,7 +362,7 @@ def rebuild_rows(
     """
     for i in rows:
         _budget_checkpoint()
-        find_pair(state, i, rule)  # reprolint: disable=REP112 -- warm-start contract: each dirty row is re-assigned exactly once
+        find_pair(state, i, rule)
 
 
 def assign_all(

@@ -27,6 +27,7 @@ import heapq
 import math
 from collections.abc import Iterable
 
+from repro.errors import GraphError
 from repro.network import oracle as _oracle
 from repro.network.graph import Network
 from repro.obs import metrics
@@ -47,7 +48,8 @@ class NearestFacilityStream:
     network:
         The road network.
     source:
-        The node the stream searches from.
+        The node the stream searches from; :class:`GraphError` if it is
+        not a node of ``network``.
     facility_nodes:
         Candidate facility node ids.  A node may host both a customer and
         a facility; the stream then reports it at distance zero.  A
@@ -58,7 +60,11 @@ class NearestFacilityStream:
     def __init__(
         self, network: Network, source: int, facility_nodes: Iterable[int]
     ) -> None:
-        self._source = int(source)
+        source = int(source)
+        n = network.n_nodes
+        if not 0 <= source < n:
+            raise GraphError(f"node {source} outside 0..{n - 1}")
+        self._source = source
         self._facility_set = (
             facility_nodes
             if isinstance(facility_nodes, frozenset)
@@ -90,8 +96,9 @@ class NearestFacilityStream:
         Ranks are zero-based.  The Dijkstra resumes as needed.  Returns
         ``None`` when fewer than ``rank + 1`` facilities are reachable.
         """
+        # Over all calls, each edge is materialized at most once.
         while len(self._found) <= rank and not self._exhausted:
-            self._advance()  # reprolint: disable=REP112 -- lazy stream: each edge is materialized at most once across all calls
+            self._advance()
         if rank < len(self._found):
             return self._found[rank]
         return None
@@ -285,7 +292,7 @@ class StreamCursor:
         """Consume up to ``limit`` facilities (all remaining if ``None``)."""
         out: list[tuple[int, float]] = []
         while limit is None or len(out) < limit:
-            item = self.take()  # reprolint: disable=REP112 -- drain retires each pending item exactly once
+            item = self.take()
             if item is None:
                 break
             out.append(item)

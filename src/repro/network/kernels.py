@@ -297,6 +297,16 @@ def workspace_for(network: Network) -> DijkstraWorkspace:
     return ws
 
 
+def checked_nodes(n_nodes: int, nodes: Iterable[int]) -> list[int]:
+    """``nodes`` as a list of ints; :class:`GraphError` if one is not a
+    node of an ``n_nodes``-node network."""
+    out = [int(v) for v in nodes]
+    if out and (min(out) < 0 or max(out) >= n_nodes):
+        bad = next(v for v in out if not 0 <= v < n_nodes)
+        raise GraphError(f"node {bad} outside 0..{n_nodes - 1}")
+    return out
+
+
 def many_source_lengths(
     network: Network,
     source_groups: Sequence[Sequence[int]],
@@ -313,8 +323,13 @@ def many_source_lengths(
     all targets are settled; without, it has shape
     ``(len(source_groups), n_nodes)``.  All runs reuse one
     :class:`DijkstraWorkspace`, so per-run cost excludes allocation.
+    Raises :class:`GraphError` for a target that is not a node, as the
+    CH path does.
     """
-    if targets is not None and workspace is None:
+    target_list = (
+        None if targets is None else checked_nodes(network.n_nodes, targets)
+    )
+    if target_list is not None and workspace is None:
         # Function-local import: oracle imports this module through
         # landmarks, so an eager import here would be a cycle.  Only the
         # CH kind carries the bucket primitive; its block entries are
@@ -324,21 +339,20 @@ def many_source_lengths(
         hierarchy = _oracle.active_ch_for(network)
         if hierarchy is not None:
             return hierarchy.distance_block(
-                source_groups, [int(t) for t in targets], radius=radius
+                source_groups, target_list, radius=radius
             )
     ws = workspace if workspace is not None else workspace_for(network)
     n_groups = len(source_groups)
-    if targets is not None:
-        target_list = [int(t) for t in targets]
+    if target_list is not None:
         target_set = set(target_list)
         out = np.empty((n_groups, len(target_list)), dtype=np.float64)
         for i, group in enumerate(source_groups):
-            ws.run(group, targets=target_set, radius=radius)  # reprolint: disable=REP112 -- bucket design: one workspace sweep per source group
+            ws.run(group, targets=target_set, radius=radius)
             out[i, :] = ws.gather(target_list)
         return out
     out = np.full((n_groups, ws.n_nodes), INF, dtype=np.float64)
     for i, group in enumerate(source_groups):
-        ws.run(group, radius=radius)  # reprolint: disable=REP112 -- bucket design: one workspace sweep per source group
+        ws.run(group, radius=radius)
         touched = ws._touched
         if touched:
             dist = ws._dist

@@ -45,7 +45,7 @@ many-to-many bucket primitive beneath whole ``distance_matrix`` blocks.
 Both kinds satisfy the duck-typed oracle protocol consumed here and in
 :mod:`repro.network.incremental`: ``matches`` / ``bind`` /
 ``query(u, v)`` / ``make_stream(source, facilities)`` / ``info()``,
-with bit-identical distances either way.  Leave the oracle off for
+with the kernel's distances (CH differs on float ties).  Leave the oracle off for
 solves: on both measured solve inputs WMA ran several times faster on
 the kernel's paused Dijkstras than on either kind (``docs/api.md`` has
 the table).  ``ch`` pays off on matrix-shaped work, where its buckets
@@ -545,8 +545,9 @@ class OracleFacilityStream:
         Zero-based; refines lazily.  ``None`` when fewer than
         ``rank + 1`` facilities are reachable.
         """
+        # Over all calls, each oracle candidate is advanced past at most once.
         while len(self._found) <= rank and not self._exhausted:
-            self._advance()  # reprolint: disable=REP112 -- lazy stream: each oracle candidate is advanced past at most once
+            self._advance()
         if rank < len(self._found):
             return self._found[rank]
         return None

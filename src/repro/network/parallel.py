@@ -50,7 +50,7 @@ from repro.errors import BudgetExceeded
 from repro.network import ch as _chmod
 from repro.network import oracle as _oracle
 from repro.network.graph import Network
-from repro.network.kernels import DijkstraWorkspace, many_source_lengths
+from repro.network.kernels import DijkstraWorkspace, checked_nodes, many_source_lengths
 from repro.obs import metrics
 from repro.runtime.budget import checkpoint as _budget_checkpoint
 
@@ -325,15 +325,15 @@ class ParallelDistanceEngine:
         """
         _budget_checkpoint()
         source_list = [int(s) for s in sources]
-        target_list = [int(t) for t in targets]
         if not self.should_parallelize(len(source_list)):
             metrics.active().counter("parallel.fallbacks").add()
             return many_source_lengths(
                 self.network,
                 [[s] for s in source_list],
-                targets=target_list,
+                targets=targets,
                 radius=radius,
             )
+        target_list = checked_nodes(self.network.n_nodes, targets)
         self._ensure_pool()
         chunks = self._chunk(source_list)
         jobs = [(chunk, target_list, radius) for chunk in chunks]

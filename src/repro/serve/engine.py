@@ -193,7 +193,7 @@ class ServeEngine:
 
         if seed_customers:
             for node in instance.customers:
-                outcome = self._arrive(CustomerArrive(int(node)))  # reprolint: disable=REP112 -- warm start replays each initial customer exactly once
+                outcome = self._arrive(CustomerArrive(int(node)))
                 if outcome.status != "applied":
                     raise MatchingError(outcome.detail)
 
@@ -514,7 +514,7 @@ class ServeEngine:
             if int(self._labels[node]) in comps:
                 redo.append(new_row)
             else:
-                fresh.transplant_row(new_row, state, self._row_of_handle[handle])  # reprolint: disable=REP112 -- one row transplant per retained handle per re-solve
+                fresh.transplant_row(new_row, state, self._row_of_handle[handle])
         for pos, fnode in enumerate(self._sub_nodes):
             if int(self._labels[fnode]) not in comps:
                 fresh.facility_potential[pos] = state.facility_potential[pos]

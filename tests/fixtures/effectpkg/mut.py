@@ -1,5 +1,5 @@
-"""Three-deep mutation chain for the effect fixpoint: ``outer`` never
-touches the box itself, but transitively mutates it through two calls."""
+"""A parameter mutated in place (``poke``) and one only read
+(``reader``), for the direct mutation inference."""
 
 
 class Box:
@@ -9,14 +9,6 @@ class Box:
 
 def poke(box: Box) -> None:
     box.items.append(1)
-
-
-def relay(box: Box) -> None:
-    poke(box)
-
-
-def outer(box: Box) -> None:
-    relay(box)
 
 
 def reader(box: Box) -> int:

@@ -129,15 +129,9 @@ class TestCallGraph:
 class TestEffects:
     def test_direct_mutation_recorded(self):
         effects = project_for(FIXTURES / "effectpkg").effects
-        rooted = effects.rooted_in("mut.poke", "param:box", direct_only=True)
-        assert rooted and rooted[0].kind == "mutate-call"
-
-    def test_fixpoint_propagates_two_levels(self):
-        effects = project_for(FIXTURES / "effectpkg").effects
-        # outer -> relay -> poke: the summary must surface the mutation
-        # rebased onto outer's own parameter.
-        assert effects.rooted_in("mut.outer", "param:box")
-        assert effects.rooted_in("mut.relay", "param:box")
+        [effect] = effects.mutations("mut.poke")
+        assert effect.kind == "mutate-call"
+        assert (effect.root, effect.detail) == ("param:box", "items.append")
 
     def test_pure_reader_has_no_mutations(self):
         effects = project_for(FIXTURES / "effectpkg").effects

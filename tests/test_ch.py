@@ -28,6 +28,7 @@ from repro.flow.bipartite import _FilteredCursor
 from repro.network import ch as ch_mod
 from repro.network import oracle as oracle_mod
 from repro.network.ch import CHFacilityStream, ContractionHierarchy
+from repro.network.dijkstra import distance_matrix
 from repro.network.graph import Network
 from repro.network.incremental import (
     NearestFacilityStream,
@@ -102,6 +103,18 @@ _ONEWAY = Network(
 )
 
 
+#: Two paths from 7 to 4 of equal real length, 7-3-6-4 and 7-3-9-4,
+#: whose left-to-right float sums differ: the kernel's minimum is
+#: 1.0999999999999999, the other sum is 1.1.
+_FLOAT_TIE = Network(
+    10,
+    [(3, 6, 0.3), (9, 3, 0.2), (4, 9, 0.2), (7, 3, 0.7), (4, 6, 0.1), (3, 5, 0.2)],
+)
+
+#: A 4-node path: an unchecked node -1 would index node 3.
+_CHAIN = Network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+
+
 def _kernel_matrix(network: Network) -> np.ndarray:
     """Ground-truth all-pairs matrix straight off the kernel workspace."""
     nodes = list(range(network.n_nodes))
@@ -113,9 +126,17 @@ def _kernel_matrix(network: Network) -> np.ndarray:
     )
 
 
+#: CH keeps one search-tree parent per node, chosen by comparing CH
+#: sums, and re-folds only that path; on a tie in real length it can
+#: miss the kernel's minimum left-to-right sum.  Open FOUND line in
+#: CHANGES.md ("network/ch.py is not bit-identical to the kernel when
+#: two paths of equal real length differ only in float association").
+_FLOAT_TIE_REASON = "CH float-association ties (FOUND line in CHANGES.md)"
+
+
 class TestBitIdentityProperties:
     @settings(max_examples=60, deadline=None)
-    @given(network=random_networks())
+    @given(network=random_networks(min_nodes=4, min_degree=1))
     @example(network=_PARALLEL)
     @example(network=_ISLANDS)
     @example(network=_TIED)
@@ -131,7 +152,7 @@ class TestBitIdentityProperties:
                 assert got == want, (s, t, got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(network=random_networks())
+    @given(network=random_networks(min_nodes=4, min_degree=1))
     @example(network=_PARALLEL)
     @example(network=_ISLANDS)
     @example(network=_TIED)
@@ -144,7 +165,10 @@ class TestBitIdentityProperties:
         assert np.array_equal(block, expected)
 
     @settings(max_examples=30, deadline=None)
-    @given(network=random_networks(), radius=st.floats(0.5, 6.0))
+    @given(
+        network=random_networks(min_nodes=4, min_degree=1),
+        radius=st.floats(0.5, 6.0),
+    )
     def test_distance_block_radius_matches_kernel(self, network, radius):
         nodes = list(range(network.n_nodes))
         expected = many_source_lengths(
@@ -161,7 +185,7 @@ class TestBitIdentityProperties:
         assert np.array_equal(block, expected)
 
     @settings(max_examples=30, deadline=None)
-    @given(network=random_networks())
+    @given(network=random_networks(min_nodes=4, min_degree=1))
     def test_multi_source_groups_match_kernel(self, network):
         n = network.n_nodes
         groups = [list(range(n)), [0], list(range(0, n, 2))]
@@ -172,6 +196,24 @@ class TestBitIdentityProperties:
         hierarchy = ContractionHierarchy.build(network)
         block = hierarchy.distance_block(groups, targets)
         assert np.array_equal(block, expected)
+
+    def test_alt_matches_kernel_on_float_association_tie(self):
+        expected = float(_kernel_matrix(_FLOAT_TIE)[7, 4])
+        assert expected == 1.0999999999999999
+        assert oracle_mod.AltOracle.build(_FLOAT_TIE).query(7, 4) == expected
+
+    @pytest.mark.xfail(strict=True, reason=_FLOAT_TIE_REASON)
+    def test_query_matches_kernel_on_float_association_tie(self):
+        expected = float(_kernel_matrix(_FLOAT_TIE)[7, 4])
+        hierarchy = ContractionHierarchy.build(_FLOAT_TIE)
+        assert hierarchy.query(7, 4) == expected
+
+    @pytest.mark.xfail(strict=True, reason=_FLOAT_TIE_REASON)
+    def test_stream_matches_kernel_on_float_association_tie(self):
+        kernel = NearestFacilityStream(_FLOAT_TIE, 7, [4])
+        hierarchy = ContractionHierarchy.build(_FLOAT_TIE)
+        fast = CHFacilityStream(hierarchy, 7, [4])
+        assert fast.facility_at(0) == kernel.facility_at(0)
 
     def test_zero_weight_edges_rejected_upstream(self):
         # Network refuses non-positive weights, so the hierarchy never
@@ -443,6 +485,18 @@ class TestScopeIntegration:
         counts = reg.as_dict()
         assert counts["ch.matrix_blocks"] == 1
         assert counts.get("dijkstra.runs", 0) == 0
+
+    @pytest.mark.parametrize("target", [-1, 9])
+    def test_matrix_hook_rejects_target_outside_network(self, target):
+        with oracle_mod.use(ContractionHierarchy.build(_CHAIN)):
+            with pytest.raises(GraphError, match=f"node {target} outside 0..3"):
+                distance_matrix(_CHAIN, [0], [target])
+
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_stream_rejects_source_outside_network(self, source):
+        hierarchy = ContractionHierarchy.build(_CHAIN)
+        with pytest.raises(GraphError, match=f"node {source} outside 0..3"):
+            CHFacilityStream(hierarchy, source, [0, 3])
 
     def test_two_component_matrix(self):
         network = build_two_component_network()

@@ -1,43 +1,21 @@
-"""Unit tests for the symbolic loop-cost model.
+"""Unit tests for the loop classifier REP110 and REP111 share.
 
-Covers the intraprocedural loop classifier (instance vs bounded
-against the size lattice), the interprocedural summary propagation
-(call-site depth + callee total, recursion capping), the hot-path
-reachability set, and the committed budget file parsing.
+Each loop is classified against the two-valued size lattice (instance
+vs bounded) and given its instance-loop nesting depth.
 """
 
 from __future__ import annotations
 
 import ast
 import textwrap
-from pathlib import Path
 
-from repro.analysis.costmodel import (
-    DEFAULT_CEILING,
-    CostModel,
-    analyze_function,
-    find_budgets_file,
-    load_budgets,
-)
-from repro.analysis.engine import LintEngine
+from repro.analysis.graphs import index_functions
+from repro.analysis.perfrules import local_loops
 
 
 def analyze(source: str):
     tree = ast.parse(textwrap.dedent(source))
-    func = next(
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    )
-    return analyze_function(func)
-
-
-def project_of(tmp_path: Path, files: dict[str, str]):
-    for rel, source in files.items():
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(source))
-    return LintEngine(tmp_path).parse_project()
+    return local_loops(index_functions(tree)[0])
 
 
 class TestLoopClassifier:
@@ -50,7 +28,7 @@ class TestLoopClassifier:
             """
         )
         assert [li.kind for li in info.loops] == ["instance"]
-        assert info.local_depth == 1
+        assert [li.depth for li in info.loops] == [1]
 
     def test_loop_over_annotated_list_parameter(self):
         info = analyze(
@@ -71,7 +49,7 @@ class TestLoopClassifier:
             """
         )
         assert [li.kind for li in info.loops] == ["bounded"]
-        assert info.local_depth == 0
+        assert [li.depth for li in info.loops] == [0]
 
     def test_range_over_instance_scalar_attribute_is_instance(self):
         # Bare scalar names stay bounded (a plain ``n`` could be a knob),
@@ -116,10 +94,12 @@ class TestLoopClassifier:
                 done = True
             """
         )
-        assert info.local_depth == 2
-        assert info.depth_at(5) == 2  # x = 1
-        assert info.depth_at(6) == 0  # done = True
-        assert len(info.stack_at(5)) == 2
+        # Each loop's line and the instance loops enclosing it, itself
+        # included.
+        assert [(li.node.lineno, li.depth) for li in info.loops] == [
+            (3, 1),
+            (4, 2),
+        ]
 
     def test_bounded_wrapper_over_instance_iterable_stays_instance(self):
         info = analyze(
@@ -141,147 +121,3 @@ class TestLoopClassifier:
             """
         )
         assert [li.kind for li in info.loops] == ["instance"]
-
-
-class TestCostModel:
-    def test_call_site_depth_composes_with_callee(self, tmp_path):
-        project = project_of(
-            tmp_path,
-            {
-                "flow/a.py": """
-                    def inner(edges):
-                        for e in edges:
-                            pass
-
-                    def outer(nodes, edges):
-                        for u in nodes:
-                            inner(edges)
-                    """
-            },
-        )
-        model = CostModel(project)
-        outer = model.summary("flow.a.outer")
-        assert outer is not None
-        assert outer.total_depth == 2
-        assert outer.local_depth == 1
-        assert "inner" in outer.via
-        assert outer.cost_label.startswith("O(")
-
-    def test_recursion_does_not_diverge(self, tmp_path):
-        project = project_of(
-            tmp_path,
-            {
-                "flow/a.py": """
-                    def spin(nodes):
-                        for u in nodes:
-                            spin(nodes)
-                    """
-            },
-        )
-        model = CostModel(project)
-        summary = model.summary("flow.a.spin")
-        assert summary is not None
-        assert summary.recursive
-        assert summary.total_depth >= 1
-
-    def test_flat_function_is_constant(self, tmp_path):
-        project = project_of(
-            tmp_path,
-            {"flow/a.py": "def f(x):\n    return x + 1\n"},
-        )
-        summary = CostModel(project).summary("flow.a.f")
-        assert summary is not None
-        assert summary.total_depth == 0
-        assert summary.cost_label == "O(1)"
-
-    def test_solver_registry_marks_hot(self, tmp_path):
-        # The registry lives in the package root, exactly as the real
-        # tree declares ``SOLVERS`` in ``repro/__init__.py``.
-        project = project_of(
-            tmp_path,
-            {
-                "__init__.py": """
-                    from core.a import solve
-                    SOLVERS = {"wma": solve}
-                    """,
-                "core/__init__.py": "",
-                "core/a.py": """
-                    def helper(edges):
-                        for e in edges:
-                            pass
-
-                    def solve(nodes, edges):
-                        for u in nodes:
-                            helper(edges)
-
-                    def cold(nodes):
-                        for u in nodes:
-                            pass
-                    """,
-            },
-        )
-        model = CostModel(project)
-        hot = model.hot_nodes()
-        assert "core.a.solve" in hot
-        assert "core.a.helper" in hot  # reachable through solve
-        assert "core.a.cold" not in hot
-
-    def test_module_costs_and_export_shapes(self, tmp_path):
-        project = project_of(
-            tmp_path,
-            {
-                "__init__.py": """
-                    from core.a import solve
-                    SOLVERS = {"wma": solve}
-                    """,
-                "core/__init__.py": "",
-                "core/a.py": """
-                    def solve(nodes, edges):
-                        for u in nodes:
-                            for e in edges:
-                                pass
-                    """,
-            },
-        )
-        model = CostModel(project)
-        costs = model.module_costs()
-        assert costs["core.a"] == (2, "core.a.solve")
-
-        doc = model.as_dict({"core.a": 3})
-        assert doc["kind"] == "cost"
-        assert doc["default_ceiling"] == DEFAULT_CEILING
-        assert "core.a.solve" in doc["functions"]
-        assert doc["functions"]["core.a.solve"]["hot"] is True
-
-        dot = model.to_dot()
-        assert dot.startswith("digraph")
-        assert "core.a.solve" in dot
-
-
-class TestBudgets:
-    def test_load_budgets_round_trip(self, tmp_path):
-        path = tmp_path / "cost-budgets.toml"
-        path.write_text(
-            "# ceilings\n[budgets]\n"
-            '"flow.sspa" = 4\n"network.ch" = 3\n'
-        )
-        assert load_budgets(path) == {"flow.sspa": 4, "network.ch": 3}
-
-    def test_load_budgets_missing_file_is_empty(self, tmp_path):
-        assert load_budgets(tmp_path / "nope.toml") == {}
-
-    def test_find_budgets_file_walks_up(self, tmp_path):
-        (tmp_path / "cost-budgets.toml").write_text("[budgets]\n")
-        nested = tmp_path / "src" / "pkg"
-        nested.mkdir(parents=True)
-        found = find_budgets_file(nested)
-        assert found == tmp_path / "cost-budgets.toml"
-
-    def test_committed_budget_file_parses(self):
-        repo_root = Path(__file__).resolve().parents[1]
-        budgets = load_budgets(repo_root / "cost-budgets.toml")
-        assert budgets, "committed cost-budgets.toml must not be empty"
-        assert all(
-            isinstance(v, int) and v >= DEFAULT_CEILING
-            for v in budgets.values()
-        )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import GraphError
 from repro.network.dijkstra import (
     distance_matrix,
     eccentricity_bound,
@@ -20,6 +21,7 @@ from repro.network.dijkstra import (
     shortest_path_lengths,
 )
 from repro.network.graph import Network
+from repro.network.incremental import NearestFacilityStream
 from repro.network.kernels import DijkstraWorkspace, many_source_lengths, workspace_for
 from repro.obs import metrics
 from tests.conftest import (
@@ -208,6 +210,22 @@ class TestManySourceLengths:
         assert np.array_equal(
             got[2], np.minimum(got[0], got[1])
         )  # multi-source = min over components
+
+
+#: A 4-node path: an unchecked node -1 would index node 3.
+CHAIN = Network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+
+
+class TestNodeRangeChecks:
+    @pytest.mark.parametrize("target", [-1, 9])
+    def test_matrix_rejects_target_outside_network(self, target):
+        with pytest.raises(GraphError, match=f"node {target} outside 0..3"):
+            distance_matrix(CHAIN, [0], [target])
+
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_stream_rejects_source_outside_network(self, source):
+        with pytest.raises(GraphError, match=f"node {source} outside 0..3"):
+            NearestFacilityStream(CHAIN, source, [0, 3])
 
 
 class TestEntryPointsDelegate:

@@ -16,6 +16,7 @@ import pytest
 from repro.baselines.brnn import solve_brnn
 from repro.baselines.exact import solve_exact
 from repro.baselines.kmedian_ls import solve_kmedian_ls
+from repro.errors import GraphError
 from repro.network import ch, oracle
 from repro.network.dijkstra import distance_matrix, multi_source_lengths
 from repro.network.parallel import (
@@ -153,6 +154,17 @@ class TestParallelEqualsSerial:
             multi_source_lengths(network, sources).dist,
             multi_source_lengths(network, sources, workers=2).dist,
         )
+
+
+    @pytest.mark.parametrize("target", [-1, 9])
+    def test_target_outside_network_raises_before_fan_out(self, target):
+        chain = build_random_network(4, seed=0)
+        with ParallelDistanceEngine(
+            chain, 2, min_sources=1, min_work=1
+        ) as engine:
+            with pytest.raises(GraphError, match=f"node {target} outside"):
+                engine.distance_matrix([0, 1], [target])
+            assert engine._pool is None
 
 
 class TestParallelUnderCHOracle:

@@ -1,9 +1,9 @@
-"""Fixture tests for the loop-cost tier (REP109..REP112).
+"""Fixture tests for the loop-cost rules (REP110, REP111).
 
 Each rule gets positive fixtures (the defect fires) and negative
 fixtures (the remediated shape is clean), plus the justification-only
-suppression contract shared by the whole tier: a bare ``disable``
-comment is ignored, only ``disable=REPxxx -- <reason>`` suppresses.
+suppression contract both share: a bare ``disable`` comment is ignored,
+only ``disable=REPxxx -- <reason>`` suppresses.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import LintEngine
-from repro.analysis.perfrules import (
-    HiddenRescanRule,
-    HotPathBudgetRule,
-    LinearMembershipRule,
-    LoopInvariantAllocRule,
-)
+from repro.analysis.perfrules import LinearMembershipRule, LoopInvariantAllocRule
 
 
 def run_rule(tmp_path: Path, rule, files):
@@ -30,124 +25,6 @@ def run_rule(tmp_path: Path, rule, files):
 
 def rule_ids(result):
     return [f.rule for f in result.findings]
-
-
-#: Package-root registry making ``core.a.solve`` a hot entry point.
-REGISTRY_FILES = {
-    "__init__.py": """
-        from core.a import solve
-        SOLVERS = {"wma": solve}
-        """,
-    "core/__init__.py": "",
-}
-
-
-class TestRep109HotPathBudget:
-    def test_deep_hot_function_over_default_ceiling(self, tmp_path):
-        result = run_rule(
-            tmp_path,
-            HotPathBudgetRule(),
-            {
-                **REGISTRY_FILES,
-                "core/a.py": """
-                    def solve(nodes, edges, customers):
-                        for u in nodes:
-                            for e in edges:
-                                for c in customers:
-                                    pass
-                    """,
-            },
-        )
-        assert rule_ids(result) == ["REP109"]
-        finding = result.findings[0]
-        assert "ceiling of depth 2" in finding.message
-        assert "O(" in finding.message
-
-    def test_within_default_ceiling_is_clean(self, tmp_path):
-        result = run_rule(
-            tmp_path,
-            HotPathBudgetRule(),
-            {
-                **REGISTRY_FILES,
-                "core/a.py": """
-                    def solve(nodes, edges):
-                        for u in nodes:
-                            for e in edges:
-                                pass
-                    """,
-            },
-        )
-        assert rule_ids(result) == []
-
-    def test_cold_function_is_never_budgeted(self, tmp_path):
-        # Same depth-3 nest, but not reachable from the registry.
-        result = run_rule(
-            tmp_path,
-            HotPathBudgetRule(),
-            {
-                **REGISTRY_FILES,
-                "core/a.py": """
-                    def solve(nodes):
-                        for u in nodes:
-                            pass
-
-                    def offline_report(nodes, edges, customers):
-                        for u in nodes:
-                            for e in edges:
-                                for c in customers:
-                                    pass
-                    """,
-            },
-        )
-        assert rule_ids(result) == []
-
-    def test_budget_file_raises_module_ceiling(self, tmp_path):
-        budgets = tmp_path / "budgets.toml"
-        budgets.write_text('[budgets]\n"core.a" = 3\n')
-        rule = HotPathBudgetRule()
-        rule.budgets_path = budgets
-        result = run_rule(
-            tmp_path,
-            rule,
-            {
-                **REGISTRY_FILES,
-                "core/a.py": """
-                    def solve(nodes, edges, customers):
-                        for u in nodes:
-                            for e in edges:
-                                for c in customers:
-                                    pass
-                    """,
-            },
-        )
-        assert rule_ids(result) == []
-
-    def test_interprocedural_depth_counts(self, tmp_path):
-        # One local loop per function, three frames deep: the summary
-        # composes to depth 3 and busts the default ceiling even though
-        # no single function looks worse than O(n).
-        result = run_rule(
-            tmp_path,
-            HotPathBudgetRule(),
-            {
-                **REGISTRY_FILES,
-                "core/a.py": """
-                    def inner(customers):
-                        for c in customers:
-                            pass
-
-                    def middle(edges, customers):
-                        for e in edges:
-                            inner(customers)
-
-                    def solve(nodes, edges, customers):
-                        for u in nodes:
-                            middle(edges, customers)
-                    """,
-            },
-        )
-        assert rule_ids(result) == ["REP109"]
-        assert "solve" in result.findings[0].symbol
 
 
 class TestRep110LoopInvariantAlloc:
@@ -331,78 +208,6 @@ class TestRep111LinearMembership:
         assert rule_ids(result) == []
 
 
-class TestRep112HiddenRescan:
-    FILES = {
-        "flow/__init__.py": "",
-        "flow/a.py": """
-            def scan(edges):
-                for e in edges:
-                    pass
-
-            def drive(nodes, edges):
-                for u in nodes:
-                    scan(edges)
-            """,
-    }
-
-    def test_instance_call_in_instance_hot_loop(self, tmp_path):
-        result = run_rule(tmp_path, HiddenRescanRule(), self.FILES)
-        assert rule_ids(result) == ["REP112"]
-        finding = result.findings[0]
-        assert "scan" in finding.message
-        assert "drive" in finding.message
-
-    def test_flat_callee_is_clean(self, tmp_path):
-        result = run_rule(
-            tmp_path,
-            HiddenRescanRule(),
-            {
-                "flow/__init__.py": "",
-                "flow/a.py": """
-                    def peek(e):
-                        return e.weight
-
-                    def drive(nodes, edges):
-                        for e in edges:
-                            peek(e)
-                    """,
-            },
-        )
-        assert rule_ids(result) == []
-
-    def test_call_outside_loop_is_clean(self, tmp_path):
-        result = run_rule(
-            tmp_path,
-            HiddenRescanRule(),
-            {
-                "flow/__init__.py": "",
-                "flow/a.py": """
-                    def scan(edges):
-                        for e in edges:
-                            pass
-
-                    def drive(nodes, edges):
-                        scan(edges)
-                        for u in nodes:
-                            pass
-                    """,
-            },
-        )
-        assert rule_ids(result) == []
-
-    def test_cold_module_is_out_of_scope(self, tmp_path):
-        # Identical composition, but under datagen/: not a hot path.
-        result = run_rule(
-            tmp_path,
-            HiddenRescanRule(),
-            {
-                "datagen/__init__.py": "",
-                "datagen/a.py": self.FILES["flow/a.py"],
-            },
-        )
-        assert rule_ids(result) == []
-
-
 class TestJustificationOnlySuppression:
     BAD_LOOP = """
         def f(nodes, lo, hi):
@@ -435,26 +240,6 @@ class TestJustificationOnlySuppression:
                         "pass on purpose: the fixture mutates bounds"
                     )
                 )
-            },
-        )
-        assert rule_ids(result) == []
-        assert result.suppressed == 1
-
-    def test_justified_disable_suppresses_rep112(self, tmp_path):
-        result = run_rule(
-            tmp_path,
-            HiddenRescanRule(),
-            {
-                "flow/__init__.py": "",
-                "flow/a.py": """
-                    def scan(edges):
-                        for e in edges:
-                            pass
-
-                    def drive(nodes, edges):
-                        for u in nodes:
-                            scan(edges)  # reprolint: disable=REP112 -- rescan per node is the algorithm
-                    """,
             },
         )
         assert rule_ids(result) == []

@@ -743,7 +743,8 @@ class TestSelfCheck:
     def test_every_rule_registered_and_distinct(self):
         ids = [r.id for r in default_rules()]
         assert ids == sorted(ids)
-        assert len(ids) == len(set(ids)) == 16
-        # The path-sensitive and cost tiers ride the same registry.
+        assert len(ids) == len(set(ids)) == 14
+        # The path-sensitive tier and the loop-cost rules ride the same
+        # registry.
         assert {"REP105", "REP106", "REP107", "REP108"} <= set(ids)
-        assert {"REP109", "REP110", "REP111", "REP112"} <= set(ids)
+        assert {"REP110", "REP111"} <= set(ids)
