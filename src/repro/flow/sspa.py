@@ -96,12 +96,13 @@ def _residual_dijkstra(
     reduced-cost distance.  Node ids: customers ``0..m-1``, facilities
     ``m..m+l-1``.
 
-    A source with no residual out-arc, or with a single one into a
-    facility that is not full, is answered without a heap: the search
-    could only settle the source, or the source and that facility, so
-    the result is built directly and equals the heap search's.  The
-    ``sspa.dijkstra_runs``/``sspa.pops`` counters and
-    ``state.dijkstra_runs`` count heap searches only.
+    A source with a single residual out-arc, into a facility that is
+    not full, is answered without a heap: the search could only settle
+    the source and that facility, so the result is built directly and
+    equals the heap search's.  The ``sspa.dijkstra_runs``/``sspa.pops``
+    counters and ``state.dijkstra_runs`` count heap searches only.
+    :func:`find_pair` never passes a source without a residual out-arc:
+    it reveals that source's next edge itself.
     """
     # One residual search is the matcher's unit of work: a cooperative
     # budget interrupts between searches, never inside one.
@@ -117,10 +118,7 @@ def _residual_dijkstra(
     c_runs, c_pops = _DIJKSTRA_COUNTERS.get()
 
     # matched[source] is a subset of edges[source]'s keys (match() checks it).
-    out_arcs = len(edges[source]) - len(matched[source])
-    if out_arcs == 0:
-        return {source: 0.0}, {}, [source], None, INF
-    if out_arcs == 1:
+    if len(edges[source]) - len(matched[source]) == 1:
         has = matched[source]
         for j, w in edges[source].items():
             if j not in has:
@@ -257,6 +255,92 @@ def _stop_bound(  # reprolint: disable=REP101
     return raw_best - tau_max, best_customer
 
 
+def _unreachable(customer: int) -> MatchingError:
+    """The error for a customer no free facility can be reached from."""
+    return MatchingError(
+        f"customer {customer} cannot reach any facility with free capacity"
+    )
+
+
+def _reveal(state: BipartiteState, i: int) -> int:
+    """Materialize customer ``i``'s next edge, whose distance was peeked finite."""
+    (c_reveals,) = _REVEAL_COUNTERS.get()
+    c_reveals.add()
+    revealed = state.materialize_next(i)
+    # The cursor peeked non-inf distance, so a facility must exist.
+    assert revealed is not None
+    if __debug__:
+        w = state.edges[i][revealed]
+        rc = (
+            w
+            - state.customer_potential[i]
+            + state.facility_potential[revealed]
+        )
+        assert rc >= -1e-6, (
+            f"negative reduced cost {rc} on revealed edge ({i}, {revealed})"
+        )
+    return revealed
+
+
+def _match_first_reveal(
+    state: BipartiteState, customer: int, rule: ThresholdRule
+) -> int | None:
+    """FindPair's first round for a customer without a residual out-arc.
+
+    The residual search from such a customer settles it alone and finds
+    no facility, so the stop rule reveals the customer's next edge, or
+    raises :class:`MatchingError` when the customer's stream is
+    exhausted.  The peeks are the stop rule's, in its order: under
+    ``THEOREM1`` the lower bound, then the exact distance only when the
+    bound is finite; under ``TAU_PRIME`` the exact distance.
+
+    Under ``THEOREM1``, when the revealed facility ``j`` is not full, the
+    next search would settle the customer and ``j`` at
+    ``sp = 0.0 + (w - p_i + p_j)``, and the stop rule would read only the
+    customer's lower bound.  When that bound certifies ``sp``, the unit
+    is matched here, with the loop's counters and potential update.
+
+    Returns ``j`` on a match, else ``None``: :func:`find_pair`'s general
+    loop then runs from the current state, which after a reveal has seen
+    only side-effect-free lower-bound reads.
+    """
+    edges = state.edges[customer]
+    if len(edges) != len(state.matched[customer]):
+        return None
+    # Registered at zero, as the residual search this round skips does.
+    _DIJKSTRA_COUNTERS.get()
+    cursor = state.cursor(customer)
+    theorem1 = rule is ThresholdRule.THEOREM1
+    if (
+        theorem1 and cursor.peek_lower_bound() == INF
+    ) or cursor.peek_distance() == INF:
+        raise _unreachable(customer)
+    j = _reveal(state, customer)
+    if not theorem1 or state.is_full(j):
+        return None
+    cust_p = state.customer_potential
+    p_i = cust_p[customer]
+    # The residual search's relaxation and the stop rule's term, bit for
+    # bit (the customer's dist is 0.0).
+    sp = 0.0 + (edges[j] - p_i + state.facility_potential[j])
+    lb = cursor.peek_lower_bound()
+    if lb != INF and sp > (0.0 + lb - p_i) + _EPS:
+        return None
+    # The checkpoint the second round's search makes, between the reveal
+    # and the augmentation.
+    _budget_checkpoint()
+    (c_prunes,) = _PRUNE_COUNTERS.get()
+    c_prunes.add()
+    state.match(customer, j)
+    c_augs, c_path_edges = _AUGMENT_COUNTERS.get()
+    c_augs.add()
+    c_path_edges.add(1)
+    # Potential update: the customer gains sp - 0.0, the facility sp - sp.
+    if sp > 0.0:
+        cust_p[customer] += sp
+    return j
+
+
 def find_pair(
     state: BipartiteState,
     customer: int,
@@ -271,6 +355,10 @@ def find_pair(
     augmenting path); the facility newly matched to ``customer`` may
     differ when rewiring occurred.
 
+    A customer without a residual out-arc, whose first revealed edge
+    the stop rule certifies, is matched without a residual search (see
+    :func:`_match_first_reveal`); the result is the general loop's.
+
     Raises
     ------
     MatchingError
@@ -278,6 +366,9 @@ def find_pair(
         customer, even after revealing every remaining candidate edge.
     """
     _budget_checkpoint()
+    first = _match_first_reveal(state, customer, rule)
+    if first is not None:
+        return first
     m = state.m
 
     while True:
@@ -294,26 +385,8 @@ def find_pair(
             if target is not None:
                 # Nothing left to reveal; the found path is optimal.
                 break
-            raise MatchingError(
-                f"customer {customer} cannot reach any facility with free "
-                f"capacity"
-            )
-        (c_reveals,) = _REVEAL_COUNTERS.get()
-        c_reveals.add()
-        revealed = state.materialize_next(best_customer)
-        # The cursor peeked non-inf distance, so a facility must exist.
-        assert revealed is not None
-        if __debug__:
-            w = state.edges[best_customer][revealed]
-            rc = (
-                w
-                - state.customer_potential[best_customer]
-                + state.facility_potential[revealed]
-            )
-            assert rc >= -1e-6, (
-                f"negative reduced cost {rc} on revealed edge "
-                f"({best_customer}, {revealed})"
-            )
+            raise _unreachable(customer)
+        _reveal(state, best_customer)
 
     # ------------------------------------------------------------------
     # Flow augmentation: flip matched status along the path to `target`.

@@ -40,26 +40,29 @@ Dijkstra: it settles only until the next facility in distance order is
 certified (the CH stopping rule, per facility), so a stream asked for
 its nearest facility touches a fraction of the upward search space.
 
-Distances match the kernel path bit for bit except on exact ties in
-real length.  The kernel returns the minimum over all paths of the
-*left-to-right* IEEE float sum of edge weights (float addition of
-non-negative terms is monotone).  Shortcut weights are
-differently-associated sums, so CH g-values are only used for *search*;
-the returned value re-folds the winning path's original edge weights
-left-to-right (shortcuts unpack via their middle node,
+Distances match the kernel path bit for bit.  The kernel returns the
+minimum over all paths of the *left-to-right* IEEE float sum of edge
+weights (float addition of non-negative terms is monotone).  Shortcut
+weights are differently-associated sums, so CH g-values are only used
+for *search*; the returned value re-folds the winning path's original
+edge weights left-to-right (shortcuts unpack via their middle node,
 :meth:`ContractionHierarchy._flat_arc`).  Near-ties between meeting
 nodes are handled by re-folding every meeting candidate within the
 :data:`_TIE_EPS` relative band of the best CH value and returning the
-minimum.  What is not handled: each search tree keeps one parent per
-node, chosen by comparing CH sums, and re-folds only that path.  When
-two paths of equal real length reach a node and their left-to-right
-sums differ only in float association, the tree may keep the larger
-sum, and the result is an ulp above the kernel's (``query(7, 4)`` on
-the network pinned in ``tests/test_ch.py`` returns 1.1 where the kernel
-returns 1.0999999999999999).  Dyadic weights, and random weights that
-never tie, do not show it; on 1,500 random networks of 4-13 nodes with
-weights drawn from {0.1, 0.2, 0.3, 0.5, 0.7, 1.0}, 230 of 118,936
-``query`` values differed from the kernel's.
+minimum.  Two paths of equal real length can still hide behind one
+candidate, and their left-to-right sums may differ only in float
+association (``query(7, 4)`` on a network pinned in
+``tests/test_ch.py``: 1.1 along one path, 1.0999999999999999 along the
+other).  Each search tree keeps one parent per node, and each arc one
+decomposition, so such a path is flagged instead: a node that a second
+relaxation reaches within the band lands in its sweep's ``ties``, and a
+record that ties an arc within the band is kept as an alternative
+(``alt_*`` arrays), tainting every arc that unpacks through it.  A
+candidate whose up or down path meets a flag is answered by one kernel
+Dijkstra over the original edges, bounded by the re-folded value
+(:meth:`ContractionHierarchy._exact_lengths`, counted under
+``ch.tie_fallbacks``).  Networks whose paths never tie, such as the
+jittered city grids, never take it.
 
 Persistence mirrors the ALT blobs: fingerprint-keyed versioned ``.npz``
 (:func:`cache_path` / :func:`load_or_build`), atomic writes, silent
@@ -80,18 +83,21 @@ import numpy as np
 
 from repro.errors import BudgetExceeded, GraphError
 from repro.network.graph import Network
+from repro.network.kernels import DijkstraWorkspace
 from repro.obs import metrics
 from repro.runtime.budget import checkpoint as _budget_checkpoint
 
 INF = math.inf
 
 #: On-disk blob format version; bump on any incompatible layout change.
-CH_FORMAT_VERSION = 1
+#: Version 2 added the tied alternative records (``alt_*`` arrays).
+CH_FORMAT_VERSION = 2
 
 COUNTER_SHORTCUTS = "ch.shortcuts"
 COUNTER_UPWARD_SETTLES = "ch.upward_settles"
 COUNTER_BUCKET_SCANS = "ch.bucket_scans"
 COUNTER_MATRIX_BLOCKS = "ch.matrix_blocks"
+COUNTER_TIE_FALLBACKS = "ch.tie_fallbacks"
 
 #: Relative margin for witness-search shortcut omission.  A shortcut is
 #: skipped only when a witness path is shorter by more than this
@@ -146,7 +152,9 @@ class _Contractor:
     is contracted its constituent records ``(u, mid)`` / ``(mid, v)``
     are frozen, and end-state lookups reproduce every shortcut's
     creation-time decomposition exactly (what :meth:`unpacking
-    <ContractionHierarchy._flat_arc>` relies on).
+    <ContractionHierarchy._flat_arc>` relies on).  A record that ties
+    the master one within :data:`_TIE_EPS` is kept in ``alts``: one arc
+    then stands for paths whose left-to-right sums may differ.
     """
 
     def __init__(
@@ -176,6 +184,9 @@ class _Contractor:
                 if cur is None or w < cur[0]:
                     arcs[(u, v)] = (w, -1)
         self.arcs = arcs
+        #: Records that tied ``arcs[(u, v)]`` within the band when they
+        #: met it: each still holds a path the master record may not.
+        self.alts: dict[tuple[int, int], list[tuple[float, int]]] = {}
         # Undirected networks store every edge in both directions with
         # the same weight; contraction preserves the mirror invariant
         # (shortcut pairs get the same commutative sum), so each
@@ -293,12 +304,22 @@ class _Contractor:
         """Remove ``v`` from the remaining graph, inserting ``shortcuts``."""
         _budget_checkpoint()
         arcs = self.arcs
+        alts = self.alts
         out_adj = self.out_adj
         in_adj = self.in_adj
         for u, w, sc in shortcuts:
             rec = arcs.get((u, w))
-            if rec is None or sc < rec[0]:
+            if rec is None:
                 arcs[(u, w)] = (sc, v)
+            elif sc < rec[0]:
+                if sc < rec[0] * (1.0 - _TIE_EPS):
+                    # Everything the arc held is now beyond the band.
+                    alts.pop((u, w), None)
+                else:
+                    alts.setdefault((u, w), []).append(rec)
+                arcs[(u, w)] = (sc, v)
+            elif sc <= rec[0] * (1.0 + _TIE_EPS):
+                alts.setdefault((u, w), []).append((sc, v))
             cur = out_adj[u].get(w)
             if cur is None or sc < cur:
                 out_adj[u][w] = sc
@@ -389,11 +410,16 @@ class ContractionHierarchy:
         arc_v: np.ndarray,
         arc_w: np.ndarray,
         arc_mid: np.ndarray,
+        alt_u: np.ndarray,
+        alt_v: np.ndarray,
+        alt_w: np.ndarray,
+        alt_mid: np.ndarray,
         network: Network | None = None,
         source_path: str | None = None,
     ) -> None:
         if not (
             len(arc_u) == len(arc_v) == len(arc_w) == len(arc_mid)
+            and len(alt_u) == len(alt_v) == len(alt_w) == len(alt_mid)
         ) or rank.shape != (n_nodes,):
             raise GraphError("inconsistent contraction-hierarchy arrays")
         self._fingerprint = fingerprint
@@ -404,6 +430,11 @@ class ContractionHierarchy:
         self._arc_v = arc_v
         self._arc_w = arc_w
         self._arc_mid = arc_mid
+        #: Tied alternative records (``_Contractor.alts``), same layout.
+        self._alt_u = alt_u
+        self._alt_v = alt_v
+        self._alt_w = alt_w
+        self._alt_mid = alt_mid
         self._network = network
         self.source_path = source_path
         # Lazy search-side structures (see materialize_caches).
@@ -412,6 +443,10 @@ class ContractionHierarchy:
         self._up: tuple[list[int], list[int], list[float]] | None = None
         self._down: tuple[list[int], list[int], list[float]] | None = None
         self._n_up_arcs = 0
+        #: Arcs whose unpacking passes a tied record (see _tied_path).
+        self._tainted: set[tuple[int, int]] | None = None
+        #: Kernel workspace over the original edges, built on first tie.
+        self._base_ws: DijkstraWorkspace | None = None
         #: Reusable generation-stamped label arrays for forward sweeps.
         self._sweep_state: _SweepState | None = None
         #: Left-to-right weight tuples of unpacked arcs, memoized.
@@ -447,6 +482,9 @@ class ContractionHierarchy:
         arc_v = np.asarray([uv[1] for uv, _ in items], dtype=np.int64)
         arc_w = np.asarray([rec[0] for _, rec in items], dtype=np.float64)
         arc_mid = np.asarray([rec[1] for _, rec in items], dtype=np.int64)
+        alts = sorted(
+            (uv, rec) for uv, recs in contractor.alts.items() for rec in recs
+        )
         reg = metrics.active()
         reg.counter("oracle.builds").add()
         reg.counter(COUNTER_SHORTCUTS).add(int((arc_mid >= 0).sum()))
@@ -459,6 +497,10 @@ class ContractionHierarchy:
             arc_v=arc_v,
             arc_w=arc_w,
             arc_mid=arc_mid,
+            alt_u=np.asarray([uv[0] for uv, _ in alts], dtype=np.int64),
+            alt_v=np.asarray([uv[1] for uv, _ in alts], dtype=np.int64),
+            alt_w=np.asarray([rec[0] for _, rec in alts], dtype=np.float64),
+            alt_mid=np.asarray([rec[1] for _, rec in alts], dtype=np.int64),
             network=network,
         )
         ch.materialize_caches()
@@ -515,8 +557,20 @@ class ContractionHierarchy:
                 # expands node y over original arcs (x -> y) with
                 # rank[x] > rank[y].
                 down_lists[v].append((u, w))
+        # A shortcut's unpacking passes a tied record when the arc itself
+        # or one of its halves does; halves' middle nodes rank lower.
+        tainted = set(zip(self._alt_u.tolist(), self._alt_v.tolist()))
+        if tainted:
+            for _, u, v, mid in sorted(
+                (rank[mid], u, v, mid)
+                for (u, v), (_w, mid) in arcs.items()
+                if mid >= 0
+            ):
+                if (u, mid) in tainted or (mid, v) in tainted:
+                    tainted.add((u, v))
         self._rank = rank
         self._arcs = arcs
+        self._tainted = tainted
         self._up = _pack_csr(up_lists)
         self._down = _pack_csr(down_lists)
         self._n_up_arcs = sum(len(lst) for lst in up_lists)
@@ -558,6 +612,10 @@ class ContractionHierarchy:
                 + self._arc_v.nbytes
                 + self._arc_w.nbytes
                 + self._arc_mid.nbytes
+                + self._alt_u.nbytes
+                + self._alt_v.nbytes
+                + self._alt_w.nbytes
+                + self._alt_mid.nbytes
             ),
             "source_path": self.source_path,
         }
@@ -574,16 +632,18 @@ class ContractionHierarchy:
     # ------------------------------------------------------------------
     def _upward_sweep(
         self, seeds: Iterable[int]
-    ) -> tuple[list[int], list[float], list[int]]:
+    ) -> tuple[list[int], list[float], list[int], set[int]]:
         """Exhaustive forward Dijkstra on the upward half.
 
         Multi-seed: every seed starts at distance zero (the kernel's
-        multi-source semantics).  Returns ``(settled, dist, parent)``
-        where ``settled`` lists the non-stalled nodes in settle order
-        and ``dist``/``parent`` are the shared generation-stamped label
-        arrays -- **valid only until the next forward sweep**.  Seeds
-        carry parent ``-1``.  :meth:`query` and :meth:`distance_block`
-        finish each sweep before the next; streams interleave, so
+        multi-source semantics).  Returns ``(settled, dist, parent,
+        ties)`` where ``settled`` lists the non-stalled nodes in settle
+        order, ``dist``/``parent`` are the shared generation-stamped
+        label arrays -- **valid only until the next forward sweep** --
+        and ``ties`` holds the nodes a second relaxation reached within
+        the :data:`_TIE_EPS` band of their label.  Seeds carry parent
+        ``-1``.  :meth:`query` and :meth:`distance_block` finish each
+        sweep before the next; streams interleave, so
         :class:`CHFacilityStream` pauses a sweep of its own instead.
         """
         _budget_checkpoint()
@@ -601,6 +661,7 @@ class ContractionHierarchy:
         stamp = state.stamp
         done = state.done
         settled: list[int] = []
+        ties: set[int] = set()
         heap: list[tuple[float, int]] = []
         for s in seeds:
             s = int(s)
@@ -613,6 +674,7 @@ class ContractionHierarchy:
                 heap.append((0.0, s))
         heap.sort()
         stall_margin = 1.0 - _TIE_EPS
+        band = 1.0 + _TIE_EPS
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap:
             d, u = heappop(heap)
@@ -642,22 +704,30 @@ class ContractionHierarchy:
                     dist[v] = nd
                     parent[v] = u
                     heappush(heap, (nd, v))
-                elif nd < dist[v]:
+                    continue
+                dv = dist[v]
+                if nd < dv:
+                    if nd >= dv * stall_margin:
+                        ties.add(v)
                     dist[v] = nd
                     parent[v] = u
                     heappush(heap, (nd, v))
+                elif nd <= dv * band:
+                    ties.add(v)
         c_settles, _ = _SWEEP_COUNTERS.get()
         c_settles.add(len(settled))
-        return settled, dist, parent
+        return settled, dist, parent, ties
 
     def _downward_cone(
         self, target: int
-    ) -> tuple[dict[int, float], dict[int, int]]:
+    ) -> tuple[dict[int, float], dict[int, int], set[int]]:
         """Exhaustive backward Dijkstra from ``target`` on the downward half.
 
         ``parent[x]`` is the next node on the ``x -> target`` walk (the
         node ``x`` was reached *from* in the reversed search), used to
-        re-fold the original weight sequence of the descent.
+        re-fold the original weight sequence of the descent.  The third
+        value holds the nodes with a second next node in the tie band,
+        as :meth:`_upward_sweep`'s ``ties``.
         """
         _budget_checkpoint()
         self.materialize_caches()
@@ -670,8 +740,10 @@ class ContractionHierarchy:
         dist: dict[int, float] = {t: 0.0}
         parent: dict[int, int] = {t: -1}
         settled: dict[int, float] = {}
+        ties: set[int] = set()
         heap: list[tuple[float, int]] = [(0.0, t)]
         stall_margin = 1.0 - _TIE_EPS
+        band = 1.0 + _TIE_EPS
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap:
             d, y = heappop(heap)
@@ -695,13 +767,18 @@ class ContractionHierarchy:
             for pos in range(lo, hi):
                 x = indices[pos]
                 nd = d + weights[pos]
-                if nd < dist.get(x, INF):
+                dx = dist.get(x, INF)
+                if nd < dx:
+                    if nd >= dx * stall_margin:
+                        ties.add(x)
                     dist[x] = nd
                     parent[x] = y
                     heappush(heap, (nd, x))
+                elif nd <= dx * band:
+                    ties.add(x)
         c_settles, _ = _SWEEP_COUNTERS.get()
         c_settles.add(len(settled))
-        return settled, parent
+        return settled, parent, ties
 
     def _cones_for(self, targets: tuple[int, ...]) -> _TargetCones:
         """Memoized backward cones + node buckets for a target tuple."""
@@ -797,6 +874,93 @@ class ContractionHierarchy:
         return acc
 
     # ------------------------------------------------------------------
+    # Float-association ties
+    # ------------------------------------------------------------------
+    def _tied_path(
+        self,
+        x: int,
+        parent: dict[int, int] | list[int],
+        ties: set[int],
+        memo: dict[int, bool],
+        descent: bool = False,
+    ) -> bool:
+        """Whether the tree path from ``x`` to its root may hide a tie.
+
+        True when a node on it is in ``ties`` (a second route reached it
+        in the band) or an arc on it is tainted (its unpacking passes a
+        tied record).  Either way the re-fold of this path alone may
+        miss the kernel's minimum left-to-right sum.  Descent trees
+        (``descent=True``) point toward their target, so their arcs run
+        from node to parent.  Memoized per tree, like :meth:`_lr_forward`.
+        """
+        _budget_checkpoint()
+        tainted = self._tainted
+        assert tainted is not None
+        chain: list[int] = []
+        y = x
+        while y not in memo:
+            p = parent[y]
+            if p < 0:
+                memo[y] = y in ties
+                break
+            chain.append(y)
+            y = p
+        for y in reversed(chain):
+            p = parent[y]
+            memo[y] = (
+                memo[p]
+                or y in ties
+                or ((y, p) if descent else (p, y)) in tainted
+            )
+        return memo[x]
+
+    def _candidate_tied(
+        self,
+        x: int,
+        fwd_parent: dict[int, int] | list[int],
+        fwd_ties: set[int],
+        fwd_memo: dict[int, bool],
+        cone: _TargetCones,
+        target_index: int,
+    ) -> bool:
+        """Whether the up-down path through ``x`` may hide a tie."""
+        if not (fwd_ties or self._tainted or cone.ties[target_index]):
+            return False
+        return self._tied_path(
+            x, fwd_parent, fwd_ties, fwd_memo
+        ) or cone.descent_tied(target_index, x)
+
+    def _exact_lengths(
+        self, seeds: Sequence[int], targets: Sequence[int], radius: float
+    ) -> list[float]:
+        """Kernel Dijkstra over the original edges, for tied candidates.
+
+        The kernel's value is the minimum left-to-right sum over *all*
+        paths; when a candidate's tree path may hide a tie, one search
+        over the original edges (``mid == -1`` records, master or tied)
+        finds it.  ``radius`` is a re-folded candidate value, the sum of
+        a real path, so every target lies within it.
+        """
+        ws = self._base_ws
+        if ws is None:
+            n = self._n_nodes
+            lists: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+            for u, v, w, mid in zip(
+                self._arc_u.tolist() + self._alt_u.tolist(),
+                self._arc_v.tolist() + self._alt_v.tolist(),
+                self._arc_w.tolist() + self._alt_w.tolist(),
+                self._arc_mid.tolist() + self._alt_mid.tolist(),
+            ):
+                if mid < 0:
+                    lists[u].append((v, w))
+            ws = self._base_ws = DijkstraWorkspace.from_csr(
+                *_pack_csr(lists), n
+            )
+        metrics.active().counter(COUNTER_TIE_FALLBACKS).add()
+        ws.run(seeds, targets=set(targets), radius=radius)
+        return ws.gather(targets)
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def query(self, source: int, target: int) -> float:
@@ -804,9 +968,10 @@ class ContractionHierarchy:
 
         The winning up-down path (and every near-tie candidate) is
         unpacked to original edges and re-folded left-to-right, the
-        value the kernel's relaxation order converges to, except on
-        float-association ties (see the module docstring).  Returns
-        ``inf`` when unreachable.
+        value the kernel's relaxation order converges to; a candidate
+        that may hide a float-association tie is settled by one kernel
+        search (see the module docstring).  Returns ``inf`` when
+        unreachable.
         """
         _budget_checkpoint()
         s, t = int(source), int(target)
@@ -818,7 +983,7 @@ class ContractionHierarchy:
         if s == t:
             return 0.0
         cone = self._cones_for((t,))
-        settled, dist_f, parent_f = self._upward_sweep([s])
+        settled, dist_f, parent_f, ties_f = self._upward_sweep([s])
         best = INF
         candidates: list[int] = []
         _, c_scans = _SWEEP_COUNTERS.get()
@@ -839,14 +1004,21 @@ class ContractionHierarchy:
         if best == INF:
             return INF
         memo: dict[int, float] = {}
+        tie_memo: dict[int, bool] = {}
         threshold = best * (1.0 + _TIE_EPS)
         result = INF
+        tied = False
         for x in candidates:
             if dist_f[x] + bucket[x][0][1] > threshold:
                 continue
             lr = self._lr_value(x, parent_f, memo, cone, 0)
             if lr < result:
                 result = lr
+            tied = tied or self._candidate_tied(
+                x, parent_f, ties_f, tie_memo, cone, 0
+            )
+        if tied:
+            return self._exact_lengths([s], [t], result)[0]
         return result
 
     def distance_block(
@@ -862,8 +1034,8 @@ class ContractionHierarchy:
         entries (memoized across blocks with identical targets); one
         forward sweep per source group then scans the buckets of the
         nodes it settles.  Entry ``[i, j]`` is the kernel's
-        ``many_source_lengths(..., targets=...)`` value, except on
-        float-association ties (see the module docstring); with
+        ``many_source_lengths(..., targets=...)`` value (tied candidates
+        take one kernel search per group, see the module docstring); with
         ``radius``, entries beyond the bound are ``inf`` (left-to-right
         prefix sums of positive weights are monotone, so the post-hoc
         filter matches the kernel's in-search pruning).
@@ -876,7 +1048,7 @@ class ContractionHierarchy:
         _, c_scans = _SWEEP_COUNTERS.get()
         band = 1.0 + _TIE_EPS
         for i, group in enumerate(source_groups):
-            settled, dist_f, parent_f = self._upward_sweep(group)
+            settled, dist_f, parent_f, ties_f = self._upward_sweep(group)
             best = [INF] * n_targets
             # thresh[j] trails best[j] * band so the hot loop compares
             # without multiplying; entries above it can't be the minimum
@@ -900,6 +1072,10 @@ class ContractionHierarchy:
                         cands[j].append((val, x))
             c_scans.add(scans)
             memo: dict[int, float] = {}
+            tie_memo: dict[int, bool] = {}
+            # (j, re-folded value) of targets whose candidates may hide
+            # a tie: one kernel search per group settles them all.
+            tied: list[tuple[int, float]] = []
             row = out[i]
             for j in range(n_targets):
                 bj = best[j]
@@ -907,14 +1083,29 @@ class ContractionHierarchy:
                     continue
                 threshold = bj * (1.0 + _TIE_EPS)
                 result = INF
+                is_tied = False
                 for val, x in cands[j]:
                     if val > threshold:
                         continue
                     lr = self._lr_value(x, parent_f, memo, cone, j)
                     if lr < result:
                         result = lr
-                if result <= radius:
+                    is_tied = is_tied or self._candidate_tied(
+                        x, parent_f, ties_f, tie_memo, cone, j
+                    )
+                if is_tied:
+                    tied.append((j, result))
+                elif result <= radius:
                     row[j] = result
+            if tied:
+                exact = self._exact_lengths(
+                    group,
+                    [target_list[j] for j, _ in tied],
+                    max(value for _, value in tied),
+                )
+                for (j, _), value in zip(tied, exact, strict=True):
+                    if value <= radius:
+                        row[j] = value
         return out
 
     def make_stream(
@@ -942,6 +1133,10 @@ class ContractionHierarchy:
             arc_v=self._arc_v,
             arc_w=self._arc_w,
             arc_mid=self._arc_mid,
+            alt_u=self._alt_u,
+            alt_v=self._alt_v,
+            alt_w=self._alt_w,
+            alt_mid=self._alt_mid,
         )
         os.replace(tmp, path)
         self.source_path = path
@@ -974,6 +1169,10 @@ class ContractionHierarchy:
                     arc_v=np.asarray(blob["arc_v"], dtype=np.int64),
                     arc_w=np.asarray(blob["arc_w"], dtype=np.float64),
                     arc_mid=np.asarray(blob["arc_mid"], dtype=np.int64),
+                    alt_u=np.asarray(blob["alt_u"], dtype=np.int64),
+                    alt_v=np.asarray(blob["alt_v"], dtype=np.int64),
+                    alt_w=np.asarray(blob["alt_w"], dtype=np.float64),
+                    alt_mid=np.asarray(blob["alt_mid"], dtype=np.int64),
                     source_path=path,
                 )
         except (KeyboardInterrupt, BudgetExceeded):
@@ -997,6 +1196,8 @@ class ContractionHierarchy:
         state["_arcs"] = None
         state["_up"] = None
         state["_down"] = None
+        state["_tainted"] = None
+        state["_base_ws"] = None
         state["_n_up_arcs"] = 0
         state["_sweep_state"] = None
         state["_flat"] = {}
@@ -1031,21 +1232,29 @@ class _TargetCones:
     ``descent_weights`` re-folds lazily: the original-edge weight
     sequence of the ``x -> target`` descent, memoized per ``(target, x)``
     since candidate meeting nodes repeat heavily across sources.
+    ``ties[j]`` holds the nodes of target ``j``'s cone with a second
+    next node in the tie band (see ``descent_tied``).
     """
 
-    __slots__ = ("_ch", "targets", "bucket", "_parents", "_seqs")
+    __slots__ = (
+        "_ch", "targets", "bucket", "ties", "_parents", "_seqs", "_tied"
+    )
 
     def __init__(self, ch: ContractionHierarchy, targets: tuple[int, ...]) -> None:
         self._ch = ch
         self.targets = targets
         self.bucket = {}
+        self.ties: list[set[int]] = []
         self._parents: list[dict[int, int]] = []
         self._seqs: list[dict[int, tuple[float, ...]]] = []
+        self._tied: list[dict[int, bool]] = []
         bucket: dict[int, list[tuple[int, float]]] = self.bucket
         for j, t in enumerate(targets):
-            dist_b, parent_b = ch._downward_cone(t)
+            dist_b, parent_b, ties_b = ch._downward_cone(t)
+            self.ties.append(ties_b)
             self._parents.append(parent_b)
             self._seqs.append({t: ()})
+            self._tied.append({})
             for x, db in dist_b.items():
                 entry = (j, db)
                 got = bucket.get(x)
@@ -1073,6 +1282,12 @@ class _TargetCones:
             p = parent[y]
             seqs[y] = flat_arc(y, p) + seqs[p]
         return seqs[x]
+
+    def descent_tied(self, j: int, x: int) -> bool:
+        """Whether the ``x -> targets[j]`` descent may hide a tie."""
+        return self._ch._tied_path(
+            x, self._parents[j], self.ties[j], self._tied[j], descent=True
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1127,6 +1342,10 @@ class CHFacilityStream:
         self._parent_f: dict[int, int] = {source: -1}
         self._sweep: list[tuple[float, int]] = [(0.0, source)] if facilities else []
         self._lr_memo: dict[int, float] = {}
+        # Nodes a second relaxation reached in the tie band, and the
+        # tree-path memo of ContractionHierarchy._tied_path.
+        self._ties: set[int] = set()
+        self._tie_memo: dict[int, bool] = {}
         n_fac = len(facilities)
         # Facilities whose bound entry is still to come; at zero the
         # sweep has nothing left to find.
@@ -1197,17 +1416,29 @@ class CHFacilityStream:
         return floor
 
     def _exact(self, j: int) -> float:
-        """Re-fold the exact kernel-identical distance to facility ``j``."""
+        """Re-fold the exact kernel-identical distance to facility ``j``.
+
+        Candidates whose paths may hide a float-association tie go to
+        one kernel search instead (:meth:`ContractionHierarchy._exact_lengths`).
+        """
         _budget_checkpoint()
         threshold = self._best[j] * (1.0 + _TIE_EPS)
         ch = self._ch
         result = INF
+        tied = False
         for val, x in self._cands[j]:
             if val > threshold:
                 continue
             lr = ch._lr_value(x, self._parent_f, self._lr_memo, self._cone, j)
             if lr < result:
                 result = lr
+            tied = tied or ch._candidate_tied(
+                x, self._parent_f, self._ties, self._tie_memo, self._cone, j
+            )
+        if tied:
+            return ch._exact_lengths(
+                [self._source], [self._facilities[j]], result
+            )[0]
         return result
 
     def resume_until(self, allowed: frozenset[int]) -> tuple[int, float] | None:
@@ -1279,6 +1510,7 @@ class CHFacilityStream:
             assert dist is not None
             dist_get = dist.get
             parent = self._parent_f
+            tie = self._ties.add
             cands = self._cands
             bucket_get = self._cone.bucket.get
             stall_margin = 1.0 - _TIE_EPS
@@ -1317,10 +1549,15 @@ class CHFacilityStream:
                 for pos in range(indptr[u], indptr[u + 1]):
                     v = indices[pos]
                     nd = d + weights[pos]
-                    if nd < dist_get(v, INF):
+                    dv = dist_get(v, INF)
+                    if nd < dv:
+                        if nd >= dv * stall_margin:
+                            tie(v)
                         dist[v] = nd
                         parent[v] = u
                         heappush(sweep, (nd, v))
+                    elif nd <= dv * band:
+                        tie(v)
             c_settles, c_scans = _SWEEP_COUNTERS.get()
             c_settles.add(settles)
             c_scans.add(scans)

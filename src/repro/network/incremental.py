@@ -30,6 +30,7 @@ from collections.abc import Iterable
 from repro.errors import GraphError
 from repro.network import oracle as _oracle
 from repro.network.graph import Network
+from repro.network.kernels import checked_nodes
 from repro.obs import metrics
 from repro.runtime.budget import checkpoint as _budget_checkpoint
 
@@ -52,9 +53,10 @@ class NearestFacilityStream:
         not a node of ``network``.
     facility_nodes:
         Candidate facility node ids.  A node may host both a customer and
-        a facility; the stream then reports it at distance zero.  A
-        ``frozenset`` is used as is, so a pool builds its candidate set
-        once for all of its streams.
+        a facility; the stream then reports it at distance zero.
+        :class:`GraphError` if one is not a node of ``network``.  A
+        ``frozenset`` is used as is, unchecked, so a pool checks and
+        builds its candidate set once for all of its streams.
     """
 
     def __init__(
@@ -68,7 +70,7 @@ class NearestFacilityStream:
         self._facility_set = (
             facility_nodes
             if isinstance(facility_nodes, frozenset)
-            else frozenset(int(f) for f in facility_nodes)
+            else frozenset(checked_nodes(n, facility_nodes))
         )
         # Plain-list CSR mirror: the resumable loop in _advance indexes
         # these arrays per edge, where numpy scalar boxing dominates.
@@ -315,7 +317,9 @@ class StreamPool:
 
     def __init__(self, network: Network, facility_nodes: Iterable[int]) -> None:
         self._network = network
-        self._facility_nodes = tuple(int(f) for f in facility_nodes)
+        self._facility_nodes = tuple(
+            checked_nodes(network.n_nodes, facility_nodes)
+        )
         # Built once and shared by every kernel stream of the pool.
         self._facility_set = frozenset(self._facility_nodes)
         self._streams: dict[

@@ -45,7 +45,7 @@ many-to-many bucket primitive beneath whole ``distance_matrix`` blocks.
 Both kinds satisfy the duck-typed oracle protocol consumed here and in
 :mod:`repro.network.incremental`: ``matches`` / ``bind`` /
 ``query(u, v)`` / ``make_stream(source, facilities)`` / ``info()``,
-with the kernel's distances (CH differs on float ties).  Leave the oracle off for
+with the kernel's distances.  Leave the oracle off for
 solves: on both measured solve inputs WMA ran several times faster on
 the kernel's paused Dijkstras than on either kind (``docs/api.md`` has
 the table).  ``ch`` pays off on matrix-shaped work, where its buckets
@@ -68,6 +68,7 @@ import numpy as np
 from repro.errors import BudgetExceeded, GraphError
 from repro.network import ch as _ch
 from repro.network.graph import Network
+from repro.network.kernels import checked_nodes
 from repro.network.landmarks import select_landmarks
 from repro.obs import metrics
 from repro.runtime.budget import checkpoint as _budget_checkpoint
@@ -510,8 +511,15 @@ class OracleFacilityStream:
         # One checkpoint per stream construction; the seeding loop below
         # is bounded by the candidate count and each step is O(landmarks).
         _budget_checkpoint()
+        source = int(source)
+        facilities = sorted({int(x) for x in facility_nodes})
+        # The sorted candidates' ends bound them all: no O(l) scan per
+        # stream on top of the sort.
+        checked_nodes(
+            oracle._n_nodes, [source, *facilities[:1], *facilities[-1:]]
+        )
         self._oracle = oracle
-        self._source = int(source)
+        self._source = source
         self._found: list[tuple[int, float]] = []
         self._exhausted = False
         # Entries: (key, node, is_lower_bound).  Exact entries sort
@@ -519,7 +527,7 @@ class OracleFacilityStream:
         heap: list[tuple[float, int, int]] = []
         lb = oracle.lower_bound
         src = self._source
-        for f in sorted({int(x) for x in facility_nodes}):
+        for f in facilities:
             bound = lb(src, f)
             if bound != INF:
                 heap.append((bound, f, 1))

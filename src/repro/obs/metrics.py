@@ -181,8 +181,8 @@ class Registry:
 class CounterBlock:
     """A bundle of counters re-resolved only when the active registry changes.
 
-    Hot flush sites (`incremental._advance`, ``sspa._residual_dijkstra``)
-    look the same few counters up thousands of times per solve; the name
+    Hot flush sites (``incremental._advance``, ``sspa.find_pair``) look
+    the same few counters up thousands of times per solve; the name
     lookups dominate the cost of the flush itself.  A ``CounterBlock``
     caches the resolved :class:`Counter` objects and revalidates with two
     cheap identity checks per call -- the active registry and its reset

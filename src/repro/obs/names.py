@@ -55,6 +55,7 @@ COUNTERS = frozenset(
         "ch.upward_settles",
         "ch.bucket_scans",
         "ch.matrix_blocks",
+        "ch.tie_fallbacks",
         # -- flow.sspa (successive shortest-path augmentation) ---------
         "sspa.dijkstra_runs",
         "sspa.pops",

@@ -22,11 +22,13 @@ counter                          meaning
 ``bipartite.peak_edges``         peak ``G_b`` size (gauge)
 ===============================  =============================================
 
-A residual search whose source has no residual out-arc, or a single one
-into a facility with free capacity, is answered without a heap (see
-:func:`repro.flow.sspa._residual_dijkstra`).  ``sspa.dijkstra_runs``,
-``sspa.pops``, ``BipartiteState.dijkstra_runs`` and the solution's
-``meta["dijkstra_runs"]`` count heap searches only.
+A FindPair call for a customer without a residual out-arc reveals its
+next edge without a residual search (see
+:func:`repro.flow.sspa._match_first_reveal`), and a search whose source
+has a single arc into a facility with free capacity is answered
+without a heap (see :func:`repro.flow.sspa._residual_dijkstra`).
+``sspa.dijkstra_runs``, ``sspa.pops``, ``BipartiteState.dijkstra_runs``
+and the solution's ``meta["dijkstra_runs"]`` count heap searches only.
 
 Reports serialize to JSON (``repro profile`` in the CLI) and compare
 against committed baselines so CI can gate on counter regressions; see

@@ -111,6 +111,20 @@ _FLOAT_TIE = Network(
     [(3, 6, 0.3), (9, 3, 0.2), (4, 9, 0.2), (7, 3, 0.7), (4, 6, 0.1), (3, 5, 0.2)],
 )
 
+#: Paths 0-2-3 and 0-2-1-3 tie in real length (1.1 against 0.5 + 0.6)
+#: and their left-to-right sums from node 0 differ in the last bit.
+_ASSOC_TIE = Network(
+    4, [(0, 2, 3.2368797598700043), (1, 2, 0.5), (1, 3, 0.6), (2, 3, 1.1)]
+)
+
+#: A tie hidden inside one arc: contracting node 1 first offers the
+#: shortcut 0-1-3 (0.1 + 0.1), which ties the edge 0-3 (0.2), and the
+#: later shortcut 2-0-3 unpacks through the edge.  The kernel's 2 -> 3
+#: is 2-0-1-3, 0.7999999999999999; the edge gives 0.6 + 0.2 = 0.8.
+_COLLAPSED_TIE = Network(
+    4, [(2, 0, 0.6), (1, 3, 0.1), (1, 2, 1.0), (3, 0, 0.2), (0, 1, 0.1)]
+)
+
 #: A 4-node path: an unchecked node -1 would index node 3.
 _CHAIN = Network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 
@@ -126,14 +140,6 @@ def _kernel_matrix(network: Network) -> np.ndarray:
     )
 
 
-#: CH keeps one search-tree parent per node, chosen by comparing CH
-#: sums, and re-folds only that path; on a tie in real length it can
-#: miss the kernel's minimum left-to-right sum.  Open FOUND line in
-#: CHANGES.md ("network/ch.py is not bit-identical to the kernel when
-#: two paths of equal real length differ only in float association").
-_FLOAT_TIE_REASON = "CH float-association ties (FOUND line in CHANGES.md)"
-
-
 class TestBitIdentityProperties:
     @settings(max_examples=60, deadline=None)
     @given(network=random_networks(min_nodes=4, min_degree=1))
@@ -141,6 +147,9 @@ class TestBitIdentityProperties:
     @example(network=_ISLANDS)
     @example(network=_TIED)
     @example(network=_ONEWAY)
+    @example(network=_FLOAT_TIE)
+    @example(network=_ASSOC_TIE)
+    @example(network=_COLLAPSED_TIE)
     def test_query_matches_kernel_on_all_pairs(self, network):
         expected = _kernel_matrix(network)
         hierarchy = ContractionHierarchy.build(network)
@@ -157,6 +166,9 @@ class TestBitIdentityProperties:
     @example(network=_ISLANDS)
     @example(network=_TIED)
     @example(network=_ONEWAY)
+    @example(network=_FLOAT_TIE)
+    @example(network=_ASSOC_TIE)
+    @example(network=_COLLAPSED_TIE)
     def test_distance_block_matches_kernel(self, network):
         expected = _kernel_matrix(network)
         hierarchy = ContractionHierarchy.build(network)
@@ -202,18 +214,52 @@ class TestBitIdentityProperties:
         assert expected == 1.0999999999999999
         assert oracle_mod.AltOracle.build(_FLOAT_TIE).query(7, 4) == expected
 
-    @pytest.mark.xfail(strict=True, reason=_FLOAT_TIE_REASON)
     def test_query_matches_kernel_on_float_association_tie(self):
         expected = float(_kernel_matrix(_FLOAT_TIE)[7, 4])
         hierarchy = ContractionHierarchy.build(_FLOAT_TIE)
         assert hierarchy.query(7, 4) == expected
 
-    @pytest.mark.xfail(strict=True, reason=_FLOAT_TIE_REASON)
     def test_stream_matches_kernel_on_float_association_tie(self):
         kernel = NearestFacilityStream(_FLOAT_TIE, 7, [4])
         hierarchy = ContractionHierarchy.build(_FLOAT_TIE)
         fast = CHFacilityStream(hierarchy, 7, [4])
         assert fast.facility_at(0) == kernel.facility_at(0)
+
+    def test_collapsed_tie_is_kept_and_settled_by_the_kernel(self):
+        # The shortcut 0-1-3 and the edge 0-3 collapse into one arc; the
+        # hierarchy keeps the shortcut as a tied record, so the query
+        # whose path unpacks through the arc takes one kernel search.
+        expected = float(_kernel_matrix(_COLLAPSED_TIE)[2, 3])
+        assert expected == 0.7999999999999999
+        hierarchy = ContractionHierarchy.build(_COLLAPSED_TIE)
+        assert hierarchy._alt_mid.tolist() == [1, 1]
+        with metrics.use(metrics.Registry()) as reg:
+            assert hierarchy.query(2, 3) == expected
+        assert reg.counter(ch_mod.COUNTER_TIE_FALLBACKS).value == 1
+
+    def test_tied_records_survive_save_load_and_pickle(self, tmp_path):
+        hierarchy = ContractionHierarchy.build(_COLLAPSED_TIE)
+        loaded = ContractionHierarchy.load(hierarchy.save(str(tmp_path / "h.npz")))
+        shipped = pickle.loads(pickle.dumps(hierarchy))
+        expected = _kernel_matrix(_COLLAPSED_TIE)
+        nodes = list(range(4))
+        for other in (loaded, shipped):
+            assert np.array_equal(other._alt_w, hierarchy._alt_w)
+            # Neither copy carries the network: the fallback search runs
+            # over the hierarchy's own original-edge records.
+            block = other.distance_block([[s] for s in nodes], nodes)
+            assert np.array_equal(block, expected)
+
+    def test_tie_free_network_never_falls_back(self):
+        network = build_random_network(40, seed=3)
+        expected = _kernel_matrix(network)
+        hierarchy = ContractionHierarchy.build(network)
+        nodes = list(range(network.n_nodes))
+        with metrics.use(metrics.Registry()) as reg:
+            block = hierarchy.distance_block([[s] for s in nodes], nodes)
+        assert np.array_equal(block, expected)
+        assert len(hierarchy._alt_u) == 0
+        assert reg.counter(ch_mod.COUNTER_TIE_FALLBACKS).value == 0
 
     def test_zero_weight_edges_rejected_upstream(self):
         # Network refuses non-positive weights, so the hierarchy never
@@ -497,6 +543,12 @@ class TestScopeIntegration:
         hierarchy = ContractionHierarchy.build(_CHAIN)
         with pytest.raises(GraphError, match=f"node {source} outside 0..3"):
             CHFacilityStream(hierarchy, source, [0, 3])
+
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_stream_rejects_facility_outside_network(self, bad):
+        hierarchy = ContractionHierarchy.build(_CHAIN)
+        with pytest.raises(GraphError, match=f"node {bad} outside 0..3"):
+            hierarchy.make_stream(0, [bad, 3])
 
     def test_two_component_matrix(self):
         network = build_two_component_network()

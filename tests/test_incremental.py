@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import GraphError
 from repro.network.dijkstra import distance_matrix
 from repro.network.incremental import NearestFacilityStream, StreamCursor, StreamPool
 from repro.obs import metrics
@@ -58,6 +59,11 @@ class TestStream:
         g = build_line_network(5)
         stream = NearestFacilityStream(g, 2, [2, 4])
         assert stream.facility_at(0) == (2, 0.0)
+
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_rejects_facility_outside_network(self, bad):
+        with pytest.raises(GraphError, match=f"node {bad} outside 0..3"):
+            NearestFacilityStream(build_line_network(4), 0, [bad, 3])
 
     def test_random_access_is_stable(self):
         g = build_random_network(30, seed=6)
@@ -126,6 +132,11 @@ class TestPool:
         g = build_line_network(10)
         pool = StreamPool(g, [5, 7])
         assert pool.facility_nodes == (5, 7)
+
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_rejects_facility_outside_network(self, bad):
+        with pytest.raises(GraphError, match=f"node {bad} outside 0..3"):
+            StreamPool(build_line_network(4), [bad, 3])
 
     def test_interleaved_cursors_bounded_by_full_dijkstras(self):
         # The whole point of sharing streams: however many cursors

@@ -24,6 +24,7 @@ GOLDEN_COUNTERS = [
     "ch.bucket_scans",
     "ch.matrix_blocks",
     "ch.shortcuts",
+    "ch.tie_fallbacks",
     "ch.upward_settles",
     "dijkstra.pops",
     "dijkstra.relaxations",

@@ -278,6 +278,15 @@ class TestOracleFacilityStream:
                     break
                 rank += 1
 
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_rejects_node_outside_network(self, bad):
+        network = Network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        oracle = AltOracle.build(network, n_landmarks=2)
+        with pytest.raises(GraphError, match=f"node {bad} outside 0..3"):
+            oracle.make_stream(0, [bad, 3])
+        with pytest.raises(GraphError, match=f"node {bad} outside 0..3"):
+            oracle.make_stream(bad, [3])
+
     def test_unreachable_facilities_omitted(self):
         network = build_two_component_network()
         oracle = AltOracle.build(network, n_landmarks=2)

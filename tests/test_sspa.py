@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from collections import Counter
@@ -15,12 +16,13 @@ from repro import solve
 from repro.core.instance import MCFSInstance
 from repro.core.wma import WMASolver
 from repro.datagen.instances import clustered_instance, uniform_instance
-from repro.errors import MatchingError
+from repro.errors import GraphError, MatchingError
 from repro.flow import sspa
 from repro.flow.bipartite import BipartiteState
 from repro.flow.sspa import ThresholdRule, assign_all, find_pair
 from repro.network.dijkstra import distance_matrix
 from repro.network.graph import Network
+from repro.runtime.options import SolverOptions
 from repro.serve import ServeEngine, synthesize_trace
 from tests.conftest import (
     build_line_network,
@@ -87,6 +89,12 @@ class TestAssignAll:
         g = build_two_component_network()
         with pytest.raises(MatchingError):
             assign_all(g, [0, 3], [1], [5])
+
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_facility_outside_network_raises(self, bad):
+        g = build_line_network(4)
+        with pytest.raises(GraphError, match=f"node {bad} outside 0..3"):
+            assign_all(g, [0, 1], [bad, 3], [1, 1])
 
     def test_colocated_customer_and_facility(self):
         g = build_line_network(5)
@@ -347,7 +355,7 @@ def checked_searches(monkeypatch):
         got = search(state, source)
         assert got == expected, shape
         # Only heap searches count as Dijkstra runs.
-        heap_free = shape in ("no arc", "one arc, free")
+        heap_free = shape == "one arc, free"
         assert state.dijkstra_runs == runs + (0 if heap_free else 1)
         return got
 
@@ -374,56 +382,207 @@ def _directed_instance(seed: int) -> MCFSInstance:
     )
 
 
+def _tight_capacity_case() -> None:
+    """40 customers into exactly 40 units of capacity, checked optimal.
+
+    Late arrivals can only be served by rewiring through full facilities.
+    """
+    g = build_random_network(80, seed=4)
+    rng = np.random.default_rng(4)
+    customers = [int(v) for v in rng.choice(80, size=40, replace=True)]
+    facilities = sorted(int(v) for v in rng.choice(80, size=10, replace=False))
+    result = assign_all(g, customers, facilities, [4] * 10)
+    assert result.cost == pytest.approx(
+        hungarian_reference(g, customers, facilities, [4] * 10), rel=1e-9
+    )
+
+
+def _clustered_serve_replay(n_mutations: int) -> None:
+    """A churn replay on ``clustered_instance(256)``, in batches of 64."""
+    instance = clustered_instance(256, seed=0)
+    selected = solve(instance, method="wma").selected
+    mutations = synthesize_trace(
+        instance.network,
+        n_mutations,
+        facility_nodes=[instance.facility_nodes[j] for j in selected],
+        capacities=[int(instance.capacities[j]) for j in selected],
+        start_handle=len(instance.customers),
+        customer_nodes=[int(c) for c in instance.customers],
+        seed=1,
+        p_depart=0.45,
+    )
+    engine = ServeEngine(instance, selected)
+    for start in range(0, len(mutations), 64):
+        result = engine.apply(mutations[start:start + 64])
+        assert result.staleness == "optimal"
+
+
 class TestHeapFreeSearches:
-    """Every residual search equals the heap search, shape by shape."""
+    """Every residual search equals the heap search, shape by shape.
+
+    ``find_pair`` answers a customer without a residual out-arc before
+    any search (``TestFirstRevealPairs`` checks those calls), so no
+    search starts from one.
+    """
 
     def test_wma_uniform(self, checked_searches):
         WMASolver(uniform_instance(256)).solve()
-        assert checked_searches["no arc"] > 0
-        assert checked_searches["one arc, free"] > 0
+        # Every first reveal is certified: no search runs at all.
+        assert not checked_searches
 
     def test_wma_clustered(self, checked_searches):
         WMASolver(clustered_instance(256)).solve()
-        assert checked_searches["no arc"] > 0
-        assert checked_searches["one arc, free"] > 0
+        assert not checked_searches
 
     def test_tight_capacity(self, checked_searches):
-        # 40 customers into exactly 40 units of capacity: late arrivals
-        # can only be served by rewiring through full facilities.
-        g = build_random_network(80, seed=4)
-        rng = np.random.default_rng(4)
-        customers = [int(v) for v in rng.choice(80, size=40, replace=True)]
-        facilities = sorted(int(v) for v in rng.choice(80, size=10, replace=False))
-        result = assign_all(g, customers, facilities, [4] * 10)
-        assert result.cost == pytest.approx(
-            hungarian_reference(g, customers, facilities, [4] * 10), rel=1e-9
-        )
+        _tight_capacity_case()
+        assert checked_searches["no arc"] == 0
         assert checked_searches["one arc, full"] > 0
         assert checked_searches["several arcs"] > 0
 
     def test_directed_network(self, checked_searches):
         solve(_directed_instance(3), method="wma")
-        assert checked_searches["no arc"] > 0
-        assert checked_searches["one arc, free"] > 0
-        assert checked_searches["one arc, full"] > 0
+        assert set(checked_searches) == {"one arc, full", "several arcs"}
 
     def test_clustered_serve_replay(self, checked_searches):
-        instance = clustered_instance(256, seed=0)
-        selected = solve(instance, method="wma").selected
-        mutations = synthesize_trace(
-            instance.network,
-            2000,
-            facility_nodes=[instance.facility_nodes[j] for j in selected],
-            capacities=[int(instance.capacities[j]) for j in selected],
-            start_handle=len(instance.customers),
-            customer_nodes=[int(c) for c in instance.customers],
-            seed=1,
-            p_depart=0.45,
-        )
-        engine = ServeEngine(instance, selected)
-        for start in range(0, len(mutations), 64):
-            result = engine.apply(mutations[start:start + 64])
-            assert result.staleness == "optimal"
+        _clustered_serve_replay(2000)
         assert set(checked_searches) == {
-            "no arc", "one arc, free", "one arc, full", "several arcs"
+            "one arc, free", "one arc, full", "several arcs"
         }
+
+
+def _row_state(state: BipartiteState) -> tuple:
+    """Everything a ``find_pair`` call can change, in comparable form."""
+    return (
+        # Insertion order too: the residual search relaxes in it.
+        [list(row.items()) for row in state.edges],
+        state.matched,
+        state.assigned,
+        state.customer_potential,
+        state.facility_potential,
+        [state.cursor_rank(i) for i in range(state.m)],
+    )
+
+
+def _twin(state: BipartiteState) -> BipartiteState:
+    """A deep copy of ``state`` that shares its network, pool and streams.
+
+    Streams are append-only logs that cursors read at private ranks, so
+    the copy reads them as a co-located customer would.  Copying them
+    as well would cost more than the call under test.
+    """
+    pool = state.pool
+    memo = {id(state.network): state.network, id(pool): pool}
+    memo.update((id(s), s) for s in pool._streams.values())
+    return copy.deepcopy(state, memo)
+
+
+@pytest.fixture
+def checked_pairs(monkeypatch):
+    """Check every ``find_pair`` call against the general loop alone.
+
+    Each call first runs as the solver makes it.  A copy of the state
+    taken before the call then runs it again with
+    ``_match_first_reveal`` bypassed, so that the residual-search loop
+    does all of the work.  The return value or exception type, the
+    edges, the matching, both potential lists and the cursor ranks must
+    agree.  Running the copy second lets the call under test see the
+    streams exactly as the solver left them.
+
+    Counts how each call went, per rule: ``"arcs"`` when the customer
+    had a residual out-arc (not eligible), and else ``"matched"`` (the
+    first reveal was certified), ``"loop"`` (the loop took over after
+    the reveal) or ``"exhausted"`` (no edge left to reveal).
+    """
+    outcomes: dict[ThresholdRule, Counter[str]] = {
+        rule: Counter() for rule in ThresholdRule
+    }
+    real_find_pair = sspa.find_pair
+    first_reveal = sspa._match_first_reveal
+    last: list[int | None] = [None]
+
+    def recorded(state, customer, rule):
+        last[0] = first_reveal(state, customer, rule)
+        return last[0]
+
+    def checked(state, customer, rule=ThresholdRule.THEOREM1):
+        twin = _twin(state)
+        eligible = len(state.edges[customer]) == len(state.matched[customer])
+        error = None
+        try:
+            got = real_find_pair(state, customer, rule)
+        except MatchingError as exc:
+            got, error = MatchingError, exc
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sspa, "_match_first_reveal", lambda *args: None)
+            try:
+                want = real_find_pair(twin, customer, rule)
+            except MatchingError:
+                want = MatchingError
+        assert got == want
+        assert _row_state(state) == _row_state(twin)
+        if not eligible:
+            outcome = "arcs"
+        elif error is not None:
+            outcome = "exhausted"
+        else:
+            outcome = "loop" if last[0] is None else "matched"
+        outcomes[rule][outcome] += 1
+        if error is not None:
+            raise error
+        return got
+
+    monkeypatch.setattr(sspa, "_match_first_reveal", recorded)
+    # Every module that binds find_pair by name.
+    for module in ("repro.flow.sspa", "repro.core.wma", "repro.serve.engine"):
+        monkeypatch.setattr(f"{module}.find_pair", checked)
+    return outcomes
+
+
+class TestFirstRevealPairs:
+    """``find_pair`` with its first-reveal step equals the general loop.
+
+    The WMA cases go through :func:`repro.solve`, so an oracle scope set
+    by ``REPRO_ORACLE`` covers their ALT or CH streams too.
+    """
+
+    def test_wma_uniform(self, checked_pairs):
+        solve(uniform_instance(256), method="wma")
+        # Every call's first reveal is certified.
+        assert set(checked_pairs[ThresholdRule.THEOREM1]) == {"matched"}
+
+    def test_wma_clustered(self, checked_pairs):
+        solve(clustered_instance(256), method="wma")
+        theorem1 = checked_pairs[ThresholdRule.THEOREM1]
+        assert theorem1["matched"] > 0
+        assert theorem1["exhausted"] > 0
+
+    def test_directed_network(self, checked_pairs):
+        solve(_directed_instance(3), method="wma")
+        theorem1 = checked_pairs[ThresholdRule.THEOREM1]
+        assert theorem1["matched"] > 0
+        assert theorem1["loop"] > 0
+
+    def test_tau_prime(self, checked_pairs):
+        options = SolverOptions(
+            extras={"threshold_rule": ThresholdRule.TAU_PRIME}
+        )
+        solve(clustered_instance(256), method="wma", options=options)
+        tau_prime = checked_pairs[ThresholdRule.TAU_PRIME]
+        # Only THEOREM1 matches at the first reveal; the final
+        # assignment runs under it.
+        assert tau_prime["matched"] == 0
+        assert tau_prime["loop"] > 0
+        assert tau_prime["exhausted"] > 0
+
+    def test_tight_capacity(self, checked_pairs):
+        _tight_capacity_case()
+        theorem1 = checked_pairs[ThresholdRule.THEOREM1]
+        assert theorem1["matched"] > 0
+        assert theorem1["loop"] > 0
+
+    def test_clustered_serve_replay(self, checked_pairs):
+        _clustered_serve_replay(1000)
+        theorem1 = checked_pairs[ThresholdRule.THEOREM1]
+        assert theorem1["matched"] > 0
+        assert theorem1["loop"] > 0
