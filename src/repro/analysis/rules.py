@@ -132,6 +132,7 @@ class ObsNameRegistryRule(Rule):
 
     REGISTRY_REL = "obs/names.py"
     _KIND_BY_SET = {"COUNTERS": "counter", "GAUGES": "gauge", "TIMERS": "timer"}
+    _KIND_BY_BLOCK = {"CounterBlock": "counter", "GaugeBlock": "gauge"}
 
     def start(self) -> None:
         # kind -> name -> declaration line in the registry file
@@ -156,12 +157,13 @@ class ObsNameRegistryRule(Rule):
                         self.usages.append(
                             (called, name, ctx.rel, node.lineno, node.col_offset)
                         )
-            elif called == "CounterBlock":
+            elif called in self._KIND_BY_BLOCK:
+                kind = self._KIND_BY_BLOCK[called]
                 for arg in node.args:
                     name = _str_value(arg, ctx)
                     if name is not None:
                         self.usages.append(
-                            ("counter", name, ctx.rel, node.lineno, node.col_offset)
+                            (kind, name, ctx.rel, node.lineno, node.col_offset)
                         )
         return
         yield  # pragma: no cover - makes this an (empty) generator

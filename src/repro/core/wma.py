@@ -184,7 +184,6 @@ class WMASolver:
         reg = metrics.active()
         reg.counter("wma.solves").add()
         reg.counter("wma.iterations").add(iteration)
-        reg.gauge("bipartite.peak_edges").set_max(state.edges_materialized)
         reg.timer("wma.solve").observe(runtime)
         meta = {
             "algorithm": "wma",

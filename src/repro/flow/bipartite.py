@@ -34,6 +34,7 @@ from repro.obs import metrics
 from repro.runtime.budget import checkpoint as _budget_checkpoint
 
 _MATERIALIZE_COUNTERS = metrics.CounterBlock("incremental.edges_materialized")
+_PEAK_EDGES_GAUGE = metrics.GaugeBlock("bipartite.peak_edges")
 
 
 class _FilteredCursor(StreamCursor):
@@ -178,9 +179,8 @@ class BipartiteState:
         self.edges_materialized += 1
         (c_edges,) = _MATERIALIZE_COUNTERS.get()
         c_edges.add()
-        metrics.active().gauge("bipartite.peak_edges").set_max(
-            self.edges_materialized
-        )
+        (g_peak,) = _PEAK_EDGES_GAUGE.get()
+        g_peak.set_max(self.edges_materialized)
         return j
 
     def cursor_rank(self, i: int) -> int:

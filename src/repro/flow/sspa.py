@@ -438,6 +438,48 @@ def rebuild_rows(
         find_pair(state, i, rule)
 
 
+def release_row(state: BipartiteState, row: int) -> bool:
+    """Unmatch ``row``'s one unit; return whether the replay survives.
+
+    Call the *cold replay* of a network component the state
+    :func:`rebuild_rows` leaves when it matches the component's rows in
+    row order from a fresh state.  If ``row``'s component is its cold
+    replay, this returns True exactly when the state after the unmatch
+    is the cold replay without ``row``: the same edges, matching,
+    potentials and cursor ranks, to the bit.  ``row`` then stays behind
+    as an unmatched row that no residual search reaches.  On False the
+    component must be replayed again.
+
+    The test is O(1): ``row`` has one revealed edge, to ``j``, and ``j``
+    has a free seat before the unmatch.  Why that suffices:
+
+    1. Along a replay, facility loads only grow.  An augmenting path
+       moves units between customers but adds one only at its endpoint.
+       So a facility with a free seat now was never full at any step.
+    2. At ``row``'s step ``j`` was not full.  :func:`find_pair` then
+       either matched ``row`` in :func:`_match_first_reveal`, or ran the
+       general loop, whose first residual search is the heap-free one
+       from a single arc into a facility with room: it settles only
+       ``row`` and ``j``, so the stop rule either certified it or
+       revealed ``row``'s second edge, which ``row`` does not have.
+       Either way only ``row``'s row and ``j``'s load changed; ``j``'s
+       potential moved by ``sp - sp = 0``.
+    3. A later search reaches ``row`` only over the backward arc
+       ``j -> row``, which it relaxes only when it settles ``j`` while
+       ``j`` is full, which never happens.  ``is_full(j)`` reads False
+       with or without ``row``'s unit.
+    4. So removing ``row``'s unit leaves exactly the replay without it.
+
+    The weaker test "``j``'s potential is 0" keeps *a* min-cost flow
+    with valid potentials, but not the replay: on tie-heavy networks it
+    can end a few ulps away from the cold cost.
+    """
+    (j,) = state.matched[row]
+    survives = len(state.edges[row]) == 1 and not state.is_full(j)
+    state.unmatch(row, j)
+    return survives
+
+
 def assign_all(
     network: Network,
     customer_nodes: Sequence[int],

@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, Generic, TypeVar
 
 
 class Counter:
@@ -178,34 +178,63 @@ class Registry:
         return f"Registry({len(self._instruments)} instruments)"
 
 
-class CounterBlock:
-    """A bundle of counters re-resolved only when the active registry changes.
+_Instrument = TypeVar("_Instrument", Counter, Gauge)
+
+
+class _Block(Generic[_Instrument]):
+    """Instruments re-resolved only when the active registry changes.
 
     Hot flush sites (``incremental._advance``, ``sspa.find_pair``) look
-    the same few counters up thousands of times per solve; the name
-    lookups dominate the cost of the flush itself.  A ``CounterBlock``
-    caches the resolved :class:`Counter` objects and revalidates with two
-    cheap identity checks per call -- the active registry and its reset
-    version -- so swapping registries (:func:`use`) or calling
-    :meth:`Registry.reset` always takes effect on the next flush.
+    the same few instruments up thousands of times per solve; the name
+    lookups dominate the cost of the flush itself.  A block caches the
+    resolved instruments and revalidates with two cheap identity checks
+    per call -- the active registry and its reset version -- so swapping
+    registries (:func:`use`) or calling :meth:`Registry.reset` always
+    takes effect on the next flush.
     """
 
-    __slots__ = ("_names", "_reg", "_version", "_counters")
+    __slots__ = ("_names", "_reg", "_version", "_items")
 
     def __init__(self, *names: str) -> None:
         self._names = names
         self._reg: Registry | None = None
         self._version = -1
-        self._counters: tuple[Counter, ...] = ()
+        self._items: tuple[_Instrument, ...] = ()
 
-    def get(self) -> tuple[Counter, ...]:
-        """The counters in declaration order, from the active registry."""
+    def _resolve(self, reg: Registry, name: str) -> _Instrument:
+        raise NotImplementedError
+
+    def get(self) -> tuple[_Instrument, ...]:
+        """The instruments in declaration order, from the active registry."""
         reg = _active
         if reg is not self._reg or reg._version != self._version:
-            self._reg = reg
-            self._version = reg._version
-            self._counters = tuple(reg.counter(n) for n in self._names)
-        return self._counters
+            self._refresh(reg)
+        return self._items
+
+    # Kept out of get(): a comprehension there would make get's locals
+    # closure cells, which costs every call.
+    def _refresh(self, reg: Registry) -> None:
+        self._reg = reg
+        self._version = reg._version
+        self._items = tuple(self._resolve(reg, n) for n in self._names)
+
+
+class CounterBlock(_Block[Counter]):
+    """A bundle of :class:`Counter` objects, cached as :class:`_Block` says."""
+
+    __slots__ = ()
+
+    def _resolve(self, reg: Registry, name: str) -> Counter:
+        return reg.counter(name)
+
+
+class GaugeBlock(_Block[Gauge]):
+    """A bundle of :class:`Gauge` objects, cached as :class:`_Block` says."""
+
+    __slots__ = ()
+
+    def _resolve(self, reg: Registry, name: str) -> Gauge:
+        return reg.gauge(name)
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,10 @@ declared here, once, under its kind.  The reprolint rule **REP001**
 whole tree:
 
 * a call site (``metrics.active().counter("...")``,
-  ``metrics.CounterBlock("...")``, ``timer("...")``, ...) whose name is
-  *not* declared here is a lint error -- a typo would otherwise mint a
-  brand-new counter that silently slips past the CI smoke gate
+  ``metrics.CounterBlock("...")``, ``metrics.GaugeBlock("...")``,
+  ``timer("...")``, ...) whose name is *not* declared here is a lint
+  error -- a typo would otherwise mint a brand-new counter that
+  silently slips past the CI smoke gate
   (``benchmarks/baselines/smoke.json`` only checks names it knows);
 * a name declared here with *no* remaining call site is a lint error
   too -- dead registry entries would let the gated vocabulary rot.

@@ -10,19 +10,32 @@ set warm across a stream of typed mutations
     result = engine.apply([CustomerArrive(17), CustomerDepart(3)])
     result.staleness        # "optimal" | "feasible" | "cached"
 
-Repair strategy -- incremental first, escalate only when invariants die:
+Every clean network component keeps one invariant: its rows, facility
+potentials and cursors are exactly what ``rebuild_rows`` leaves when it
+matches the component's live customers in handle order from a fresh
+state (the *cold replay*).  Repair strategy -- incremental first,
+escalate only when that invariant dies:
 
-* **Arrivals** run one ``find_pair`` augmentation on the warm state (the
-  matcher's invariants survive flow *addition*), so an arrivals-only
-  stream never re-solves anything.
-* **Departures** and capacity changes that strand or free saturated
-  seats invalidate the dual invariants only inside the affected network
-  *component*; the engine marks that component dirty and, at the end of
-  the batch, re-solves just its customers while every other component's
-  edges, potentials, cursors, and matching are transplanted wholesale
-  (:meth:`~repro.flow.bipartite.BipartiteState.transplant_row`).  SSPA
-  augmentations never cross components, so the scoped re-solve is
-  bit-identical in cost to a full rebuild.
+* **Arrivals** run one ``find_pair`` augmentation on the warm state,
+  the replay's next step, so an arrivals-only stream never re-solves
+  anything.
+* **Departures** of a customer matched over its first revealed edge, at
+  a facility with a free seat, only unmatch it: such a customer never
+  touched another customer's state, so what remains is the cold replay
+  without it (:func:`~repro.flow.sspa.release_row` has the proof).
+* **Other departures**, and capacity changes that strand or free
+  saturated seats, invalidate the invariant only inside the affected
+  network *component*; the engine marks that component dirty and, at
+  the end of the batch, re-solves just its customers while every other
+  component's edges, potentials, cursors, and matching are transplanted
+  wholesale (:meth:`~repro.flow.bipartite.BipartiteState.transplant_row`).
+  SSPA augmentations never cross components, so the scoped re-solve is
+  bit-identical to a full rebuild.
+* Departed rows stay in the state as unmatched rows that no search
+  reaches.  Once they outnumber the live rows, the end of the batch
+  transplants the live rows into a fresh state; nothing is re-solved,
+  so this *compaction* is not a repair and costs amortized O(1) per
+  departure.
 * **Edge retimes** invalidate every cached distance: the engine swaps in
   the re-weighted network and escalates to a global re-solve, consulting
   the :class:`~repro.serve.cache.SolutionCache` first (deployments that
@@ -48,7 +61,7 @@ from dataclasses import dataclass, field
 from repro.core.instance import MCFSInstance
 from repro.errors import BudgetExceeded, InvalidInstanceError, MatchingError
 from repro.flow.bipartite import BipartiteState
-from repro.flow.sspa import find_pair, rebuild_rows
+from repro.flow.sspa import find_pair, rebuild_rows, release_row
 from repro.network.components import component_labels
 from repro.network.graph import Network
 from repro.obs import metrics
@@ -268,6 +281,12 @@ class ServeEngine:
                         c_comp.add(len(comps))
                     except BudgetExceeded:
                         deadline_exceeded = True
+                # Departed rows linger unmatched until a rebuild; once they
+                # outnumber the live rows, transplant the live rows into a
+                # fresh state.  Nothing is re-solved, so it is no repair.
+                if self._state.m > 2 * self.n_active:
+                    with grace():
+                        self._rebuild_components(set())
         if budget is not None and budget.expired():
             deadline_exceeded = True
 
@@ -381,12 +400,11 @@ class ServeEngine:
         node = self._node_of_handle[handle]
         assert node is not None
         comp = int(self._labels[node])
-        state = self._state
-        if state.matched[row]:
-            (j_sub,) = state.matched[row]
-            state.unmatch(row, j_sub)
-            # The freed seat may enable cheaper matchings for the rest of
-            # the component; the dual invariants do not survive removal.
+        # A row matched over its first revealed edge, at a facility that
+        # was never full, touched no other row: the component stays its
+        # cold replay.  Otherwise the freed seat may enable cheaper
+        # matchings for the rest of the component, so it is re-solved.
+        if self._state.matched[row] and not release_row(self._state, row):
             self._dirty.add(comp)
         self._deferred.discard(handle)
         del self._row_of_handle[handle]
@@ -494,7 +512,8 @@ class ServeEngine:
         rows whose component is dirty (in handle order -- the same
         per-component ``find_pair`` sequence a full rebuild would run,
         hence bit-identical cost) while adopting the warm edges,
-        potentials, cursors, and matching of every clean row.
+        potentials, cursors, and matching of every clean row.  Departed
+        rows are left behind, so an empty ``comps`` only compacts.
         """
         _budget_checkpoint()
         state = self._state

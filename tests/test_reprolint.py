@@ -152,6 +152,22 @@ class TestRep001ObsNames:
         )
         assert [f.symbol for f in result.findings] == ["bad.block"]
 
+    def test_gaugeblock_args_checked_as_gauges(self, tmp_path):
+        result = run_lint(
+            tmp_path,
+            with_registry(
+                {
+                    "flow/x.py": """
+                        import metrics
+
+                        BLOCK = metrics.GaugeBlock("good.gauge", "good.counter")
+                    """
+                }
+            ),
+        )
+        assert [f.symbol for f in result.findings] == ["good.counter"]
+        assert "used as a gauge" in result.findings[0].message
+
     def test_line_suppression(self, tmp_path):
         result = run_lint(
             tmp_path,

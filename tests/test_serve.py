@@ -2,10 +2,11 @@
 
 Covers the typed-mutation vocabulary and trace I/O, admission control,
 the fingerprint-keyed solution cache, and the engine itself: warm
-incremental arrivals, component-scoped departure repair, capacity
-re-rates, edge retimes with global re-solve, deadlines, and the
-staleness contract -- each checked against a cold ``assign_all`` oracle
-for bit-identical cost.
+incremental arrivals, departures that keep the cold replay or re-solve
+their component, compaction of departed rows, capacity re-rates, edge
+retimes with global re-solve, deadlines, and the staleness contract --
+each checked against a cold ``assign_all`` oracle for bit-identical
+cost, plus a seeded differential churn replay on tie-heavy networks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.serve import (
     CustomerArrive,
     CustomerDepart,
     EdgeRetime,
+    Mutation,
     ServeEngine,
     Snapshot,
     SolutionCache,
@@ -70,6 +72,23 @@ def cold_cost(engine: ServeEngine) -> float:
         list(engine.selected_nodes),
         list(engine.selected_capacities),
     ).cost
+
+
+def cold_assignment(engine: ServeEngine, selected: list[int]) -> dict[int, int]:
+    """Handle -> facility of a cold re-solve, as ``engine.assignment()``.
+
+    ``selected`` is the selection the engine was built with.
+    """
+    cold = assign_all(
+        engine.network,
+        engine.customer_nodes(),
+        list(engine.selected_nodes),
+        list(engine.selected_capacities),
+    )
+    return {
+        h: selected[j]
+        for h, j in zip(engine.handles(), cold.assignment, strict=True)
+    }
 
 
 class TestMutations:
@@ -323,7 +342,9 @@ class TestEngineDepartures:
             engine.node_of(0)
 
     def test_handles_survive_departure_repair(self):
-        engine = ServeEngine(grid_instance(), [0, 1, 2])
+        # Capacity 1 everywhere: customer 0 leaves a full facility, so
+        # its component is re-solved and the rows are renumbered.
+        engine = ServeEngine(grid_instance(capacities=(1, 1, 1)), [0, 1, 2])
         handle = engine.apply([CustomerArrive(13)]).outcomes[0].handle
         result = engine.apply([CustomerDepart(0)])
         assert result.repaired_components == 1
@@ -331,6 +352,91 @@ class TestEngineDepartures:
         assert engine.customer_nodes() == [18, 13]
         assert set(engine.assignment()) == {1, handle}
         assert engine.cost == cold_cost(engine)
+
+    def test_first_reveal_departure_needs_no_repair(self):
+        # Both customers were matched over their first revealed edge, at
+        # a facility that never filled: the leaver touched no other row,
+        # so the component is still its cold replay without it.
+        inst = MCFSInstance(
+            network=build_line_network(12),
+            customers=(5, 4),
+            facility_nodes=(5, 9),
+            capacities=(3, 5),
+            k=2,
+        )
+        engine = ServeEngine(inst, [0, 1])
+        result = engine.apply([CustomerDepart(0)])
+        assert result.repaired_components == 0
+        assert result.staleness == "optimal"
+        assert engine.cost == pytest.approx(1.0)
+        assert engine.cost == cold_cost(engine)
+        assert engine.assignment() == cold_assignment(engine, [0, 1])
+
+    def test_departure_from_full_facility_repairs(self):
+        # Customers 5 and 4 fill node 5's two seats, which pushed
+        # customer 6 to node 9.  When 5 leaves, 6 must take its seat.
+        inst = MCFSInstance(
+            network=build_line_network(12),
+            customers=(5, 6, 4),
+            facility_nodes=(5, 9),
+            capacities=(2, 5),
+            k=2,
+        )
+        engine = ServeEngine(inst, [0, 1])
+        assert engine.facility_of(1) == 1
+        result = engine.apply([CustomerDepart(0)])
+        assert result.repaired_components == 1
+        assert result.moves == 1
+        assert engine.cost == pytest.approx(2.0)
+        assert engine.cost == cold_cost(engine)
+        assert engine.assignment() == cold_assignment(engine, [0, 1])
+
+    def test_displaced_departure_repairs(self):
+        # The newcomer at node 5 displaces customer 6 to node 10, which
+        # reveals 6's second edge.  Node 10 keeps a free seat, yet 6's
+        # departure still re-solves: its row took part in another search.
+        inst = MCFSInstance(
+            network=build_line_network(12),
+            customers=(6,),
+            facility_nodes=(5, 10),
+            capacities=(1, 2),
+            k=2,
+        )
+        engine = ServeEngine(inst, [0, 1])
+        engine.apply([CustomerArrive(5)])
+        assert engine.facility_of(0) == 1
+        result = engine.apply([CustomerDepart(0)])
+        assert result.repaired_components == 1
+        assert engine.cost == 0.0
+        assert engine.assignment() == cold_assignment(engine, [0, 1])
+
+    def test_departed_rows_are_compacted(self):
+        # With ample capacity most departures need no re-solve and leave
+        # their rows behind; once those outnumber the live rows, the
+        # live rows move into a fresh state.
+        caps = (40, 40, 40)
+        engine = ServeEngine(grid_instance(capacities=caps), [0, 1, 2])
+        trace = synthesize_trace(
+            GRID,
+            1500,
+            facility_nodes=engine.selected_nodes,
+            capacities=caps,
+            start_handle=2,
+            customer_nodes=(6, 18),
+            seed=7,
+            p_depart=0.45,
+        )
+        batch = 25
+        lingering = 0
+        for start in range(0, len(trace), batch):
+            result = engine.apply(trace[start:start + batch])
+            assert result.staleness == "optimal"
+            rows = engine._state.m  # live rows plus departed ones
+            assert rows <= 2 * engine.n_active + batch
+            lingering = max(lingering, rows - engine.n_active)
+        assert lingering > 0
+        assert engine.cost == cold_cost(engine)
+        assert engine.assignment() == cold_assignment(engine, [0, 1, 2])
 
     def test_departure_of_unknown_handle_rejected(self):
         engine = ServeEngine(grid_instance(), [0, 1, 2])
@@ -503,7 +609,11 @@ class TestDeadlinesAndAdmission:
     def test_serve_counters_emitted(self):
         registry = metrics.Registry()
         with metrics.use(registry):
-            engine = ServeEngine(grid_instance(), [0, 1, 2], max_batch=8)
+            # Capacity 1 everywhere, so the departure leaves a full
+            # facility and its component is repaired.
+            engine = ServeEngine(
+                grid_instance(capacities=(1, 1, 1)), [0, 1, 2], max_batch=8
+            )
             engine.apply([CustomerArrive(13), CustomerDepart(0)])
         counts = registry.as_dict()
         assert counts["serve.batches"] == 1
@@ -589,6 +699,107 @@ class TestEngineUnderCH:
         assert counts["incremental.streams"] == 0
         assert fast.assignment() == kernel.assignment()
         assert fast.cost == kernel.cost == cold_cost(fast)
+
+
+class TestServeMatchesColdReplay:
+    """Seeded churn on small tie-heavy networks against a cold replay.
+
+    Ties are where a departure rule that keeps *a* min-cost flow, but
+    not the cold replay, shows up: another optimal assignment, or a cost
+    a few ulps away.  "Skip the re-solve when the facility's potential
+    is 0" is such a rule, and it fails dozens of these cases.  After
+    every batch the engine's cost, per-handle facility and live rows
+    (edges in reveal order, potentials, cursor ranks) must equal those
+    of a cold ``assign_all`` of its customers in handle order.
+    """
+
+    WEIGHTS = (0.1, 0.2, 0.3, 0.5, 0.7, 1.1)
+    CASES = 300
+
+    @classmethod
+    def churn_case(
+        cls, seed: int
+    ) -> tuple[ServeEngine, list[int], list[Mutation], np.random.Generator]:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 31))
+        if seed % 2:
+            weights = [float(w) for w in rng.integers(1, 5, size=2 * n)]
+        else:
+            weights = [float(w) for w in rng.choice(cls.WEIGHTS, size=2 * n)]
+        # A random spanning tree plus up to n chords: connected.
+        edges = {(int(rng.integers(0, v)), v): weights[v] for v in range(1, n)}
+        for w in weights[n:n + int(rng.integers(0, n + 1))]:
+            u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            edges.setdefault((u, v), w)
+        network = Network(n, [(u, v, w) for (u, v), w in edges.items()])
+        l = int(rng.integers(2, min(6, n) + 1))
+        facilities = [int(x) for x in rng.choice(n, l, replace=False)]
+        caps = [int(x) for x in rng.integers(1, 5, size=l)]
+        # Few distinct customer nodes, so customers share nodes.
+        hot = rng.choice(n, max(2, n // 4), replace=False)
+        customers = [
+            int(x) for x in rng.choice(hot, int(rng.integers(1, sum(caps) + 1)))
+        ]
+        selected = list(range(l))
+        inst = MCFSInstance(
+            network, tuple(customers), tuple(facilities), tuple(caps), k=l
+        )
+        trace = synthesize_trace(
+            network,
+            40,
+            facility_nodes=facilities,
+            capacities=caps,
+            start_handle=len(customers),
+            customer_nodes=customers,
+            seed=seed,
+            p_depart=0.45,
+            p_capacity=0.1,
+        )
+        return ServeEngine(inst, selected), selected, trace, rng
+
+    @staticmethod
+    def assert_cold_replay(engine: ServeEngine, selected: list[int]) -> None:
+        cold = assign_all(
+            engine.network,
+            engine.customer_nodes(),
+            list(engine.selected_nodes),
+            list(engine.selected_capacities),
+        )
+        assert engine.cost == cold.cost
+        handles = engine.handles()
+        assert engine.assignment() == {
+            h: selected[j] for h, j in zip(handles, cold.assignment, strict=True)
+        }
+        warm, ref = engine._state, cold.state
+        assert warm.facility_potential == ref.facility_potential
+        for i, h in enumerate(handles):
+            row = engine._row_of_handle[h]
+            assert list(warm.edges[row].items()) == list(ref.edges[i].items())
+            assert warm.customer_potential[row] == ref.customer_potential[i]
+            assert warm.cursor_rank(row) == ref.cursor_rank(i)
+
+    def test_every_batch_matches_cold_replay(self):
+        # Batches with a departure that kept / re-solved the component.
+        kept = repaired = 0
+        for seed in range(self.CASES):
+            engine, selected, trace, rng = self.churn_case(seed)
+            start = 0
+            while start < len(trace):
+                batch = trace[start:start + int(rng.integers(1, 6))]
+                start += len(batch)
+                result = engine.apply(batch)
+                assert result.staleness == "optimal", seed
+                assert result.rejected == result.shed == 0, seed
+                if any(isinstance(m, CustomerDepart) for m in batch):
+                    kept += result.repaired_components == 0
+                    repaired += result.repaired_components > 0
+                if engine.n_active:
+                    try:
+                        self.assert_cold_replay(engine, selected)
+                    except AssertionError as exc:
+                        raise AssertionError(f"case {seed}: {exc}") from exc
+        assert kept > 1000
+        assert repaired > 100
 
 
 class TestServeCLI:
