@@ -1,19 +1,18 @@
-"""Oracle-tier speedups on city-scale workloads (acceptance gates).
+"""Contraction-hierarchy speedups on city-scale workloads (acceptance gates).
 
-Two tiers, two workload shapes:
+Two workload shapes:
 
-* **ALT** (point-to-point): once the landmark vectors are paid for (one
-  kernel Dijkstra per landmark), every further query is a goal-directed
-  A* that runs **zero** kernel Dijkstras -- at least a 10x reduction in
-  ``dijkstra.runs`` on a repeated-query workload.
-* **CH** (matrix-shaped): the many-to-many bucket algorithm replaces one
+* **Point-to-point**: once the hierarchy is built, every query is a
+  bidirectional upward sweep that runs **zero** kernel Dijkstras on a
+  tie-free city grid and settles a small fraction of what full
+  Dijkstras settle.
+* **Matrix-shaped**: the many-to-many bucket algorithm replaces one
   kernel Dijkstra *per source* with one upward sweep per endpoint plus
   bucket scans, so whole ``distance_matrix`` blocks come out at least
-  3x faster in wall-clock than the ALT path (which has no matrix hook
-  and falls back to per-source kernel Dijkstras), preprocessing
-  included, with a >= 30x reduction in kernel runs.
+  3x faster in wall-clock than the kernel path, preprocessing included,
+  with a >= 30x reduction in kernel runs.
 
-The three-way comparison appends a machine-readable row to
+The matrix comparison appends a machine-readable row to
 ``BENCH_oracle.json`` so the perf trajectory survives CI runs.
 
 Run with:
@@ -32,14 +31,11 @@ from repro.datagen.urban import grid_city
 from repro.network import oracle as oracle_mod
 from repro.network.ch import ContractionHierarchy
 from repro.network.dijkstra import distance_matrix, shortest_path_lengths
-from repro.network.oracle import AltOracle
 from repro.obs import metrics
 
-#: 71 x 71 perturbed Manhattan grid: ~5k nodes, the scale the issue's
-#: acceptance criterion names.
+#: 71 x 71 perturbed Manhattan grid: ~5k nodes.
 ROWS = COLS = 71
 N_QUERIES = 250
-REQUIRED_SPEEDUP = 10.0
 
 #: Matrix workload: one distance row per source against a fixed target
 #: slice -- the shape ``kernels.distance_matrix`` sees from solvers.
@@ -63,38 +59,30 @@ def _workload(network, seed: int = 0) -> list[tuple[int, int]]:
     ]
 
 
-class TestOracleKernelRunReduction:
-    def test_repeated_queries_need_10x_fewer_kernel_runs(self):
+class TestHierarchyPointQueries:
+    def test_queries_run_no_kernel_dijkstra(self):
         network = grid_city(ROWS, COLS, seed=0)
         assert network.n_nodes >= 5000
         pairs = _workload(network)
+        kernel_answers = [
+            float(distance_matrix(network, [u], [v])[0, 0]) for u, v in pairs
+        ]
 
-        kernel_reg = metrics.Registry()
-        with metrics.use(kernel_reg):
-            kernel_answers = [
-                float(distance_matrix(network, [u], [v])[0, 0])
-                for u, v in pairs
-            ]
-        kernel_runs = kernel_reg.as_dict()["dijkstra.runs"]
+        hierarchy = ContractionHierarchy.build(network)
+        reg = metrics.Registry()
+        with metrics.use(reg):
+            answers = [hierarchy.query(u, v) for u, v in pairs]
+        counts = reg.as_dict()
 
-        oracle_reg = metrics.Registry()
-        with metrics.use(oracle_reg):
-            oracle = AltOracle.build(network)  # landmark Dijkstras count
-            oracle_answers = [oracle.query(u, v) for u, v in pairs]
-        oracle_runs = oracle_reg.as_dict()["dijkstra.runs"]
-
-        assert oracle_answers == kernel_answers  # bit-identical
-        assert oracle_runs > 0  # the build is honestly included
-        speedup = kernel_runs / oracle_runs
-        print(
-            f"\nkernel path: {kernel_runs:g} kernel runs for "
-            f"{N_QUERIES} queries; oracle path: {oracle_runs:g} "
-            f"(build included) -> {speedup:.1f}x fewer"
-        )
-        assert speedup >= REQUIRED_SPEEDUP
+        assert answers == kernel_answers  # bit-identical
+        assert counts["oracle.queries"] == N_QUERIES
+        # The jittered city has no float-association ties, so no query
+        # falls back to a kernel search.
+        assert counts.get("ch.tie_fallbacks", 0) == 0
+        assert counts.get("dijkstra.runs", 0) == 0
 
     def test_query_work_is_goal_directed(self):
-        """A* pops a small fraction of what the full Dijkstras settle."""
+        """Upward sweeps settle fewer nodes than full Dijkstras do."""
         network = grid_city(ROWS, COLS, seed=0)
         pairs = _workload(network, seed=1)[:50]
 
@@ -104,24 +92,24 @@ class TestOracleKernelRunReduction:
                 shortest_path_lengths(network, u)
         full_pops = kernel_reg.as_dict()["dijkstra.pops"]
 
-        oracle = AltOracle.build(network)
-        oracle_reg = metrics.Registry()
-        with metrics.use(oracle_reg):
+        hierarchy = ContractionHierarchy.build(network)
+        ch_reg = metrics.Registry()
+        with metrics.use(ch_reg):
             for u, v in pairs:
-                oracle.query(u, v)
-        astar_pops = oracle_reg.as_dict()["oracle.query_pops"]
+                hierarchy.query(u, v)
+        settles = ch_reg.as_dict()["ch.upward_settles"]
         print(
             f"\nfull-Dijkstra pops: {full_pops:g}; "
-            f"goal-directed A* pops: {astar_pops:g}"
+            f"CH upward and downward settles: {settles:g}"
         )
-        assert astar_pops < full_pops
+        assert settles < full_pops
 
 
 def _timed_matrix(network, sources, targets, *, scope=None):
     """Run the matrix workload once, returning (block, seconds, counters).
 
-    ``scope`` is an oracle instance to activate (its *build* has already
-    been timed by the caller) or ``None`` for the raw kernel path.
+    ``scope`` is a hierarchy to activate (its *build* has already been
+    timed by the caller) or ``None`` for the raw kernel path.
     """
     reg = metrics.Registry()
     started = time.perf_counter()
@@ -134,10 +122,10 @@ def _timed_matrix(network, sources, targets, *, scope=None):
     return block, time.perf_counter() - started, reg.as_dict()
 
 
-class TestThreeWayMatrixComparison:
-    """Kernel vs ALT vs CH on one matrix-shaped city workload."""
+class TestMatrixComparison:
+    """Kernel vs CH on one matrix-shaped city workload."""
 
-    def test_ch_matrix_blocks_beat_alt_path_3x(self):
+    def test_ch_matrix_blocks_beat_kernel_path_3x(self):
         network = grid_city(ROWS, COLS, seed=0)
         assert network.n_nodes >= 5000
         rng = np.random.default_rng(0)
@@ -157,17 +145,6 @@ class TestThreeWayMatrixComparison:
         )
         kernel_runs = kernel_counts["dijkstra.runs"]
 
-        # ALT has no many-to-many hook: under an active ALT scope the
-        # matrix path falls back to per-source kernel Dijkstras, so its
-        # wall-clock is build + the kernel path.
-        alt_started = time.perf_counter()
-        alt = AltOracle.build(network)
-        alt_build_sec = time.perf_counter() - alt_started
-        alt_block, alt_run_sec, alt_counts = _timed_matrix(
-            network, sources, targets, scope=alt
-        )
-        alt_sec = alt_build_sec + alt_run_sec
-
         ch_started = time.perf_counter()
         hierarchy = ContractionHierarchy.build(network)
         ch_build_sec = time.perf_counter() - ch_started
@@ -176,29 +153,25 @@ class TestThreeWayMatrixComparison:
         )
         ch_sec = ch_build_sec + ch_run_sec
 
-        assert np.array_equal(kernel_block, alt_block)
         assert np.array_equal(kernel_block, ch_block)
 
         ch_runs = ch_counts.get("dijkstra.runs", 0)
         run_reduction = kernel_runs / max(ch_runs, 1)
-        speedup_vs_alt = alt_sec / ch_sec
+        speedup = kernel_sec / ch_sec
         row = {
-            "bench": "oracle_matrix_three_way",
+            "bench": "oracle_matrix_kernel_vs_ch",
             "graph": {"kind": "grid_city", "rows": ROWS, "cols": COLS,
                       "seed": 0, "n_nodes": network.n_nodes},
             "workload": {"sources": N_MATRIX_SOURCES,
                          "targets": N_MATRIX_TARGETS},
             "kernel": {"sec": round(kernel_sec, 4),
                        "kernel_runs": kernel_runs},
-            "alt": {"sec": round(alt_sec, 4),
-                    "build_sec": round(alt_build_sec, 4),
-                    "kernel_runs": alt_counts["dijkstra.runs"]},
             "ch": {"sec": round(ch_sec, 4),
                    "build_sec": round(ch_build_sec, 4),
                    "kernel_runs": ch_runs,
                    "shortcuts": hierarchy.n_shortcuts,
                    "matrix_blocks": ch_counts["ch.matrix_blocks"]},
-            "speedup_vs_alt": round(speedup_vs_alt, 3),
+            "speedup_vs_kernel": round(speedup, 3),
             "kernel_run_reduction": (
                 None if ch_runs == 0 else round(run_reduction, 1)
             ),
@@ -206,11 +179,10 @@ class TestThreeWayMatrixComparison:
         with open(BENCH_ROW_PATH, "a") as fh:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
         print(
-            f"\nkernel {kernel_sec:.2f}s | alt {alt_sec:.2f}s "
-            f"(build {alt_build_sec:.2f}s) | ch {ch_sec:.2f}s "
-            f"(build {ch_build_sec:.2f}s) -> {speedup_vs_alt:.2f}x vs alt; "
+            f"\nkernel {kernel_sec:.2f}s | ch {ch_sec:.2f}s "
+            f"(build {ch_build_sec:.2f}s) -> {speedup:.2f}x; "
             f"kernel runs {kernel_runs:g} -> {ch_runs:g}"
         )
         assert ch_counts["ch.matrix_blocks"] >= 1
         assert run_reduction >= REQUIRED_CH_RUN_REDUCTION
-        assert speedup_vs_alt >= REQUIRED_CH_SPEEDUP
+        assert speedup >= REQUIRED_CH_SPEEDUP

@@ -223,10 +223,9 @@ def run_solvers(
         identical for any count.
     oracle:
         Distance-oracle control passed to every method (universal
-        option; see :func:`repro.network.oracle.resolve`).  ``True`` or
-        ``"alt"`` shares the instance network's default ALT oracle
-        across the line-up, ``"ch"`` its contraction hierarchy;
-        ``None`` defers to ``REPRO_ORACLE``.  Objectives are
+        option; see :func:`repro.network.oracle.resolve`).  ``"ch"``
+        shares the instance network's default contraction hierarchy
+        across the line-up; ``None`` defers to ``REPRO_ORACLE``.  Objectives are
         bit-identical to the kernel path, which is also the fastest
         for solves, so leave it off there (see the oracle table in
         ``docs/api.md``).

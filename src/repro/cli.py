@@ -19,10 +19,8 @@ a paper experiment by id, ``profile`` runs one solver under the
 observability layer (:mod:`repro.obs`), emits a structured metrics/span
 report, and can gate counters against a committed baseline (the CI
 benchmark-smoke job), ``oracle`` builds or inspects a precomputed
-distance oracle -- ``--kind alt`` for ALT landmarks
-(:mod:`repro.network.oracle`) or ``--kind ch`` for the
-contraction-hierarchy tier (:mod:`repro.network.ch`); blobs are keyed
-by network fingerprint so CI can cache them across runs -- ``serve``
+contraction hierarchy (:mod:`repro.network.ch`), whose blobs are keyed
+by network fingerprint so CI can cache them across runs, ``serve``
 replays (or synthesizes) a mutation trace through the online serving
 engine (:mod:`repro.serve`), reporting throughput, staleness, and the
 ``serve.*`` counters, optionally gated against a committed baseline --
@@ -181,21 +179,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_WORKERS env var, else serial)",
     )
     prof.add_argument(
-        "--oracle", choices=("alt", "ch", "off"), default=None,
-        help="distance oracle: 'alt' (landmarks) or 'ch' (contraction "
-        "hierarchy) enables that kind, 'off' disables (default: "
-        "REPRO_ORACLE env var); oracle.* and ch.* counters appear in "
-        "the report either way",
+        "--oracle", choices=("ch", "off"), default=None,
+        help="distance oracle: 'ch' enables the contraction hierarchy, "
+        "'off' disables it (default: REPRO_ORACLE env var); oracle.* "
+        "and ch.* counters appear in the report either way",
     )
 
     orc = sub.add_parser(
         "oracle",
-        help="build or inspect a precomputed distance oracle (ALT or CH)",
+        help="build or inspect a precomputed contraction hierarchy",
     )
     orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
     for name, help_text in (
-        ("build", "build (or refresh) the oracle blob for an instance"),
-        ("info", "report the oracle parameters and cache status as JSON"),
+        ("build", "build (or refresh) the hierarchy blob for an instance"),
+        ("info", "report the hierarchy summary and cache status as JSON"),
     ):
         sp = orc_sub.add_parser(name, help=help_text)
         sp.add_argument(
@@ -203,12 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="instance .npz path (omitted: generate a synthetic one)",
         )
         sp.add_argument(
-            "--kind", choices=("alt", "ch"), default="alt",
-            help="oracle kind: ALT landmarks or contraction hierarchy",
-        )
-        sp.add_argument(
-            "--instance-kind", choices=("uniform", "clustered"),
-            default="uniform",
+            "--kind", choices=("uniform", "clustered"), default="uniform",
             help="synthetic instance kind when no instance file is given",
         )
         sp.add_argument(
@@ -216,14 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--seed", type=int, default=0, help="synthetic seed"
-        )
-        sp.add_argument(
-            "--landmarks", type=int, default=None,
-            help="landmark count (ALT kind only; default 16)",
-        )
-        sp.add_argument(
-            "--oracle-seed", type=int, default=0,
-            help="seed for the farthest-point landmark sweep (ALT kind only)",
         )
         sp.add_argument(
             "--cache-dir", default=None,
@@ -518,11 +502,7 @@ def _load_or_generate(args: argparse.Namespace):
         return load_instance(args.instance)
     from repro.datagen.instances import clustered_instance, uniform_instance
 
-    # The oracle subcommands repurpose --kind for the oracle kind and
-    # carry the synthetic flavour in --instance-kind; profile has only
-    # --kind.
-    kind = getattr(args, "instance_kind", None) or args.kind
-    factory = uniform_instance if kind == "uniform" else clustered_instance
+    factory = uniform_instance if args.kind == "uniform" else clustered_instance
     return factory(args.n, seed=args.seed)
 
 
@@ -533,7 +513,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import check_against_baseline, profile_solver
 
     instance = _load_or_generate(args)
-    oracle = {"alt": "alt", "ch": "ch", "off": False, None: None}[args.oracle]
+    oracle = False if args.oracle == "off" else args.oracle
     trace = tracing.Trace()
     report = profile_solver(
         instance, args.method, trace=trace, workers=args.workers,
@@ -575,65 +555,33 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.network import ch as ch_mod
-    from repro.network import oracle as oracle_mod
+    from repro.network.ch import ContractionHierarchy, cache_path
+    from repro.network.oracle import ORACLE_DIR_ENV_VAR
 
     instance = _load_or_generate(args)
     network = instance.network
     cache_dir = (
-        args.cache_dir
-        or os.environ.get(oracle_mod.ORACLE_DIR_ENV_VAR)
-        or ".oracle-cache"
+        args.cache_dir or os.environ.get(ORACLE_DIR_ENV_VAR) or ".oracle-cache"
     )
-    if args.kind == "ch":
-        path = ch_mod.cache_path(cache_dir, network)
-
-        def _load():
-            return ch_mod.ContractionHierarchy.load(path, network)
-
-        def _build():
-            return ch_mod.ContractionHierarchy.build(network)
-
-        def _describe(oracle):
-            return f"{oracle.n_shortcuts} shortcuts, {network.n_nodes} nodes"
-
-    else:
-        n_landmarks = (
-            args.landmarks
-            if args.landmarks is not None
-            else oracle_mod.DEFAULT_LANDMARKS
-        )
-        path = oracle_mod.cache_path(
-            cache_dir, network, n_landmarks=n_landmarks, seed=args.oracle_seed
-        )
-
-        def _load():
-            return oracle_mod.AltOracle.load(path, network)
-
-        def _build():
-            return oracle_mod.AltOracle.build(
-                network, n_landmarks=n_landmarks, seed=args.oracle_seed
-            )
-
-        def _describe(oracle):
-            return f"{oracle.n_landmarks} landmarks, {network.n_nodes} nodes"
-
+    path = cache_path(cache_dir, network)
+    hierarchy = ContractionHierarchy.load(path, network)
     if args.oracle_command == "build":
-        cached = _load()
-        if cached is not None:
+        if hierarchy is not None:
             print(f"up to date: {path}")
             return 0
-        oracle = _build()
-        oracle.save(path)
-        print(f"wrote {path} ({_describe(oracle)})")
+        hierarchy = ContractionHierarchy.build(network)
+        hierarchy.save(path)
+        print(
+            f"wrote {path} ({hierarchy.n_shortcuts} shortcuts, "
+            f"{network.n_nodes} nodes)"
+        )
         return 0
 
     # info: load the blob when present, else describe an in-memory build.
-    oracle = _load()
-    cached = oracle is not None
-    if oracle is None:
-        oracle = _build()
-    doc = oracle.info()
+    cached = hierarchy is not None
+    if hierarchy is None:
+        hierarchy = ContractionHierarchy.build(network)
+    doc = hierarchy.info()
     doc["cached"] = cached
     doc["cache_path"] = path
     payload = json.dumps(doc, indent=2, sort_keys=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.errors import GraphError
+from repro.network.ch import CHFacilityStream
 from repro.network.graph import Network
 from repro.network.incremental import (
     INF,
@@ -29,7 +30,6 @@ from repro.network.incremental import (
     StreamCursor,
     StreamPool,
 )
-from repro.network.oracle import FacilityStream
 from repro.obs import metrics
 from repro.runtime.budget import checkpoint as _budget_checkpoint
 
@@ -51,7 +51,7 @@ class _FilteredCursor(StreamCursor):
 
     def __init__(
         self,
-        stream: NearestFacilityStream | FacilityStream,
+        stream: NearestFacilityStream | CHFacilityStream,
         allowed: frozenset[int],
     ) -> None:
         super().__init__(stream)
@@ -158,9 +158,10 @@ class BipartiteState:
     def next_candidate_lower_bound(self, i: int) -> float:
         """A cheap lower bound on :meth:`next_candidate_distance`.
 
-        Every stream kind answers from its paused heap (kernel Dijkstra,
-        ALT or CH refine heap), so this never materializes an edge or
-        advances a stream; see the SSPA stop in :mod:`repro.flow.sspa`.
+        Both stream kinds answer from a paused heap (the kernel
+        Dijkstra's or the CH refine heap), so this never materializes an
+        edge or advances a stream; see the SSPA stop in
+        :mod:`repro.flow.sspa`.
         """
         return self.cursor(i).peek_lower_bound()
 

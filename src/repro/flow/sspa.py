@@ -178,8 +178,7 @@ def _residual_dijkstra(
     return dist, parent, settled, None, INF
 
 
-# O(settled) scan immediately following the checkpointed residual Dijkstra.
-def _stop_bound(  # reprolint: disable=REP101
+def _stop_bound(
     state: BipartiteState,
     dist: dict[int, float],
     settled: Sequence[int],

@@ -4,10 +4,10 @@ This subpackage implements the road-network layer the paper's algorithms
 run on: a compact weighted-graph representation (:class:`~repro.network.graph.Network`),
 Dijkstra variants (:mod:`repro.network.dijkstra`), preallocated batched
 kernels (:mod:`repro.network.kernels`), process-parallel fan-out
-(:mod:`repro.network.parallel`), two precomputed distance oracles -- ALT
-landmarks (:mod:`repro.network.oracle` / :mod:`repro.network.landmarks`)
-and contraction hierarchies (:mod:`repro.network.ch`) -- resumable
-nearest-facility streams (:mod:`repro.network.incremental`), and
+(:mod:`repro.network.parallel`), a precomputed distance oracle --
+contraction hierarchies (:mod:`repro.network.ch`), activated through
+:mod:`repro.network.oracle` -- resumable nearest-facility streams
+(:mod:`repro.network.incremental`), and
 connected-component bookkeeping (:mod:`repro.network.components`).
 """
 
@@ -26,8 +26,6 @@ from repro.network.dijkstra import (
 from repro.network.graph import GraphStats, Network
 from repro.network.incremental import NearestFacilityStream, StreamCursor, StreamPool
 from repro.network.kernels import DijkstraWorkspace, many_source_lengths
-from repro.network.landmarks import select_landmarks
-from repro.network.oracle import AltOracle, OracleFacilityStream
 from repro.network.parallel import ParallelDistanceEngine, resolve_workers
 from repro.network.subgraph import (
     SubgraphMapping,
@@ -50,9 +48,6 @@ __all__ = [
     "many_source_lengths",
     "ParallelDistanceEngine",
     "resolve_workers",
-    "AltOracle",
-    "OracleFacilityStream",
-    "select_landmarks",
     "VoronoiPartition",
     "voronoi_cells",
     "SubgraphMapping",

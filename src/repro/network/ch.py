@@ -1,13 +1,11 @@
 """Contraction-hierarchy distance oracle with many-to-many bucket sweeps.
 
-The ALT tier (:mod:`repro.network.oracle`) accelerates *point-to-point*
-queries but leaves the all-pairs-style ``distance_matrix`` /
-``many_source_lengths`` sweeps -- the dominant cost of the exact and
-local-search solvers -- on the raw kernel.  This module implements the
-full-strength preprocessing tier the ROADMAP names: contraction
-hierarchies (Geisberger et al.), where every node is assigned a rank and
-*shortcut* arcs preserve shortest-path distances among higher-ranked
-nodes.
+The all-pairs-style ``distance_matrix`` / ``many_source_lengths``
+sweeps are the dominant cost of the exact and local-search solvers.
+This module implements the preprocessing tier that answers them without
+kernel Dijkstras: contraction hierarchies (Geisberger et al.), where
+every node is assigned a rank and *shortcut* arcs preserve
+shortest-path distances among higher-ranked nodes.
 
 Preprocessing (:meth:`ContractionHierarchy.build`):
 
@@ -64,9 +62,9 @@ Dijkstra over the original edges, bounded by the re-folded value
 ``ch.tie_fallbacks``).  Networks whose paths never tie, such as the
 jittered city grids, never take it.
 
-Persistence mirrors the ALT blobs: fingerprint-keyed versioned ``.npz``
-(:func:`cache_path` / :func:`load_or_build`), atomic writes, silent
-rebuild on any load failure.  Activation plugs into the shared oracle
+Hierarchies persist as fingerprint-keyed versioned ``.npz`` blobs
+(:func:`cache_path` / :func:`load_or_build`), with atomic writes and a
+silent rebuild on any load failure.  Activation goes through the oracle
 scope (``REPRO_ORACLE=ch``, ``oracle="ch"`` solver option); see
 :func:`repro.network.oracle.resolve`.
 """
@@ -394,9 +392,9 @@ class ContractionHierarchy:
     """Rank order plus shortcut arcs, with query and bucket machinery.
 
     Instances come from :meth:`build` (or :func:`load_or_build`), never
-    direct construction.  Like :class:`~repro.network.oracle.AltOracle`,
-    a hierarchy is keyed to one network fingerprint; :meth:`bind`
-    re-attaches a loaded instance after the fingerprint check.
+    direct construction.  A hierarchy is keyed to one network
+    fingerprint; :meth:`bind` re-attaches a loaded instance after the
+    fingerprint check.
     """
 
     def __init__(
@@ -594,7 +592,7 @@ class ContractionHierarchy:
         return int((self._arc_mid >= 0).sum())
 
     def info(self) -> dict[str, Any]:
-        """JSON-ready summary (the ``repro oracle info --kind ch`` payload)."""
+        """JSON-ready summary (the ``repro oracle info`` payload)."""
         self.materialize_caches()
         n = self._n_nodes
         return {
@@ -1108,12 +1106,6 @@ class ContractionHierarchy:
                         row[j] = value
         return out
 
-    def make_stream(
-        self, source: int, facility_nodes: Iterable[int]
-    ) -> CHFacilityStream:
-        """A nearest-facility stream rooted at ``source`` (pool protocol)."""
-        return CHFacilityStream(self, source, facility_nodes)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -1148,8 +1140,7 @@ class ContractionHierarchy:
     ) -> ContractionHierarchy | None:
         """Load a persisted hierarchy, or ``None`` when the blob is unusable.
 
-        Mirrors :meth:`AltOracle.load <repro.network.oracle.AltOracle.load>`:
-        *any* blob failure (missing, truncated, corrupt, foreign
+        *Any* blob failure (missing, truncated, corrupt, foreign
         version, fingerprint mismatch) returns ``None`` for a uniform
         rebuild fallback, while ``BudgetExceeded``/``KeyboardInterrupt``
         always propagate -- a deadline hit while deserializing must
@@ -1565,7 +1556,7 @@ class CHFacilityStream:
 
 
 # ----------------------------------------------------------------------
-# Persistence helpers (mirror repro.network.oracle)
+# Persistence helpers
 # ----------------------------------------------------------------------
 def cache_path(directory: str, network: Network) -> str:
     """Canonical blob path for ``network``'s hierarchy in ``directory``."""
@@ -1578,9 +1569,9 @@ def load_or_build(
 ) -> ContractionHierarchy:
     """Load the cached hierarchy for ``network``, rebuilding on any miss.
 
-    Counter semantics match the ALT loader: a usable blob bumps
-    ``oracle.cache_hits``, anything else bumps ``oracle.cache_misses``
-    and rebuilds (re-persisting when a directory is configured).
+    A usable blob bumps ``oracle.cache_hits``; anything else bumps
+    ``oracle.cache_misses`` and rebuilds (re-persisting when a directory
+    is configured).
     """
     if cache_dir:
         path = cache_path(cache_dir, network)

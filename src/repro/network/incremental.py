@@ -29,6 +29,7 @@ from collections.abc import Iterable
 
 from repro.errors import GraphError
 from repro.network import oracle as _oracle
+from repro.network.ch import CHFacilityStream
 from repro.network.graph import Network
 from repro.network.kernels import checked_nodes
 from repro.obs import metrics
@@ -195,7 +196,7 @@ class StreamCursor:
     """
 
     def __init__(
-        self, stream: NearestFacilityStream | _oracle.FacilityStream
+        self, stream: NearestFacilityStream | CHFacilityStream
     ) -> None:
         self._stream = stream
         self._rank = 0
@@ -308,11 +309,10 @@ class StreamPool:
     early -- so streams are created on first use.  Customers co-located on
     one node share the Dijkstra but advance independent cursors.
 
-    When an oracle scope matching the network is active at construction
-    (:func:`repro.network.oracle.active_for`), the pool asks the oracle
-    for its streams instead (``make_stream``, implemented by both the
-    ALT and contraction-hierarchy kinds); emitted
-    ``(facility, distance)`` pairs are bit-identical either way.
+    When a contraction-hierarchy scope matching the network is active at
+    construction (:func:`repro.network.oracle.active_for`), the pool
+    builds :class:`~repro.network.ch.CHFacilityStream` streams instead;
+    emitted ``(facility, distance)`` pairs are bit-identical either way.
     """
 
     def __init__(self, network: Network, facility_nodes: Iterable[int]) -> None:
@@ -322,27 +322,23 @@ class StreamPool:
         )
         # Built once and shared by every kernel stream of the pool.
         self._facility_set = frozenset(self._facility_nodes)
-        self._streams: dict[
-            int, NearestFacilityStream | _oracle.FacilityStream
-        ] = {}
-        self._oracle = _oracle.active_for(network)
-        if self._oracle is not None:
-            # Oracle streams replace the kernel streams wholesale, so
+        self._streams: dict[int, NearestFacilityStream | CHFacilityStream] = {}
+        self._hierarchy = _oracle.active_for(network)
+        if self._hierarchy is not None:
+            # CH streams replace the kernel streams wholesale, so
             # the incremental.* counters would vanish from reports (the
             # baseline gate treats a missing counter as a violation).
             # Materialize them at zero to keep the vocabulary stable.
             _ADVANCE_COUNTERS.get()
             metrics.active().counter("incremental.streams")
 
-    def stream_for(
-        self, node: int
-    ) -> NearestFacilityStream | _oracle.FacilityStream:
+    def stream_for(self, node: int) -> NearestFacilityStream | CHFacilityStream:
         """Return (creating if needed) the shared stream rooted at ``node``."""
         stream = self._streams.get(node)
         if stream is None:
-            if self._oracle is not None:
-                stream = self._oracle.make_stream(
-                    node, self._facility_nodes
+            if self._hierarchy is not None:
+                stream = CHFacilityStream(
+                    self._hierarchy, node, self._facility_nodes
                 )
             else:
                 stream = NearestFacilityStream(

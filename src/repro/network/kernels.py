@@ -330,13 +330,12 @@ def many_source_lengths(
         None if targets is None else checked_nodes(network.n_nodes, targets)
     )
     if target_list is not None and workspace is None:
-        # Function-local import: oracle imports this module through
-        # landmarks, so an eager import here would be a cycle.  Only the
-        # CH kind carries the bucket primitive; its block entries are
-        # bit-identical to the kernel loop below.
+        # Function-local import: oracle imports this module through ch,
+        # so an eager import here would be a cycle.  The hierarchy's
+        # bucket block entries are bit-identical to the kernel loop below.
         from repro.network import oracle as _oracle
 
-        hierarchy = _oracle.active_ch_for(network)
+        hierarchy = _oracle.active_for(network)
         if hierarchy is not None:
             return hierarchy.distance_block(
                 source_groups, target_list, radius=radius

@@ -17,7 +17,7 @@ calls never pay pool start-up.
 Worker runs execute the same kernel as the serial path over the same
 float64 CSR data, so parallel distances are bit-identical to serial
 ones.  When a contraction-hierarchy oracle scope is active at pool
-start-up (:func:`repro.network.oracle.active_ch_for`), the hierarchy is
+start-up (:func:`repro.network.oracle.active_for`), the hierarchy is
 materialized pre-fork and shipped to every worker, whose distance
 chunks then run the many-to-many bucket path of
 :meth:`~repro.network.ch.ContractionHierarchy.distance_block` -- still
@@ -259,7 +259,7 @@ class ParallelDistanceEngine:
         # snapshots the oracle at start-up: a scope entered *after* the
         # first parallel call keeps workers on the kernel path, which is
         # bit-identical anyway.
-        hierarchy = _oracle.active_ch_for(self.network)
+        hierarchy = _oracle.active_for(self.network)
         if hierarchy is not None:
             hierarchy.materialize_caches()
         specs: list[_ShmSpec] = []

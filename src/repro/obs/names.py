@@ -42,13 +42,11 @@ COUNTERS = frozenset(
         # -- network.parallel (process-pool distance fan-out) ----------
         "parallel.tasks",
         "parallel.fallbacks",
-        # -- network.oracle (ALT landmark distance oracle) -------------
+        # -- network.oracle (hierarchy builds, loads, queries, streams) -
         "oracle.builds",
         "oracle.cache_hits",
         "oracle.cache_misses",
         "oracle.queries",
-        "oracle.query_pops",
-        "oracle.query_relaxations",
         "oracle.streams",
         "oracle.prunes",
         # -- network.ch (contraction-hierarchy oracle tier) ------------

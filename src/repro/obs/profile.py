@@ -16,9 +16,9 @@ counter                          meaning
 ``sspa.augmentations``           FindPair augmenting paths applied
 ``sspa.dijkstra_runs/pops``      residual-graph Dijkstra work (heap searches only)
 ``set_cover.checks/heap_pops``   CheckCover invocations and lazy-heap pops
-``oracle.queries/query_pops``    oracle point-to-point work (zero on the kernel path)
+``oracle.queries/streams``       hierarchy queries and streams (zero on the kernel path)
 ``oracle.prunes``                SSPA stops certified by stream lower bounds (any kind)
-``ch.upward_settles/...``        contraction-hierarchy sweep work (``ch`` kind)
+``ch.upward_settles/...``        contraction-hierarchy sweep work
 ``bipartite.peak_edges``         peak ``G_b`` size (gauge)
 ===============================  =============================================
 
@@ -122,8 +122,8 @@ def profile_solver(
         objective is identical for any count.
     oracle:
         Distance-oracle control forwarded to the solver (universal
-        option; see :func:`repro.network.oracle.resolve`; ``"alt"`` or
-        ``"ch"`` picks the kind).  ``None`` defers to the
+        option; see :func:`repro.network.oracle.resolve`; ``"ch"``
+        enables the hierarchy).  ``None`` defers to the
         ``REPRO_ORACLE`` environment variable.  The ``oracle.*`` and
         ``ch.*`` counters are always primed in the report -- all zeros
         on the kernel path -- so dijkstra and oracle work read off one
@@ -140,9 +140,10 @@ def profile_solver(
     if workers is not None:
         solver_kwargs = {**solver_kwargs, "workers": workers}
     # Resolve the oracle *before* entering the metrics scope: building
-    # one runs a landmark Dijkstra per landmark, which would otherwise
-    # inflate this report's dijkstra.* counters (and trip the baseline
-    # gate).  Preprocessing is a per-network one-off, not per-solve work.
+    # a hierarchy runs witness searches and bumps oracle.builds and
+    # ch.shortcuts, which would otherwise land in this report (and trip
+    # the baseline gate's zero ceilings).  Preprocessing is a
+    # per-network one-off, not per-solve work.
     if oracle is False:
         solver_kwargs = {**solver_kwargs, "oracle": False}
     else:

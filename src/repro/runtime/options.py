@@ -70,15 +70,13 @@ class SolverOptions:
         Process count for the distance fan-out of worker-aware solvers
         (see :mod:`repro.network.parallel`); ignored by the rest.
     oracle:
-        Distance-oracle control (:mod:`repro.network.oracle`): ``True``
-        or ``"alt"`` solves under the instance network's default ALT
-        oracle and ``"ch"`` under its default contraction hierarchy
-        (each built or loaded once per network), an
-        :class:`~repro.network.oracle.AltOracle` or
+        Distance-oracle control (:mod:`repro.network.oracle`): ``"ch"``
+        solves under the instance network's default contraction
+        hierarchy (built or loaded once per network), a
         :class:`~repro.network.ch.ContractionHierarchy` instance is
         used as-is after a fingerprint check, ``False``/``"off"``
         disables, and the default ``None`` defers to the
-        ``REPRO_ORACLE`` environment variable (``alt|ch|off``).
+        ``REPRO_ORACLE`` environment variable (``ch|off``).
         Oracle-served distances are bit-identical to kernel Dijkstra
         runs, so objectives never depend on this knob.
     extras:
@@ -216,8 +214,7 @@ def option_scopes(
     ``time_limit`` installs a cooperative :class:`Budget` (clamped to any
     enclosing budget); ``oracle`` (resolved against ``instance.network``,
     including the ``REPRO_ORACLE`` environment default) installs a
-    distance-oracle scope of the resolved kind.  Both are no-ops when
-    unset.
+    contraction-hierarchy scope.  Both are no-ops when unset.
     """
     with ExitStack() as stack:
         if opts.time_limit is not None:

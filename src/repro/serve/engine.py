@@ -18,7 +18,9 @@ escalate only when that invariant dies:
 
 * **Arrivals** run one ``find_pair`` augmentation on the warm state,
   the replay's next step, so an arrivals-only stream never re-solves
-  anything.
+  anything.  An arrival into a full component is rejected before any
+  search reveals an edge; one into a component with a pending eviction
+  waits for that component's re-solve.
 * **Departures** of a customer matched over its first revealed edge, at
   a facility with a free seat, only unmatch it: such a customer never
   touched another customer's state, so what remains is the cold replay
@@ -358,33 +360,39 @@ class ServeEngine:
                 mutation, "rejected", detail=f"node {node} outside network"
             )
         comp = int(self._labels[node])
+        # A full component is rejected before any search reveals edges.
+        if self._comp_active.get(comp, 0) + 1 > self._comp_capacity.get(comp, 0):
+            return MutationOutcome(
+                mutation,
+                "rejected",
+                detail=(
+                    f"customer {node} cannot reach any facility with "
+                    f"free capacity"
+                ),
+            )
+        row = self._state.append_customer(node)
         if self._global_dirty:
-            # Distances are stale: admit on component capacity alone and
-            # defer the matching to the pending global rebuild.
-            if (
-                self._comp_active.get(comp, 0) + 1
-                > self._comp_capacity.get(comp, 0)
-            ):
-                return MutationOutcome(
-                    mutation,
-                    "rejected",
-                    detail=(
-                        f"customer {node} cannot reach any facility with "
-                        f"free capacity"
-                    ),
-                )
-            row = self._state.append_customer(node)
+            # Distances are stale: defer the matching to the pending
+            # global rebuild.
             handle = self._register(node, row)
             self._deferred.add(handle)
+        elif comp in self._over_capacity:
+            # The component is re-solved before the batch ends anyway,
+            # and a warm search could seat this customer in a seat the
+            # pending eviction needs.
+            handle = self._register(node, row)
         else:
-            row = self._state.append_customer(node)
             try:
                 find_pair(self._state, row)
             except MatchingError as exc:
+                # The failed search may have revealed edges on other
+                # rows, so the component is no longer its cold replay.
                 self._state.pop_customer()
+                self._dirty.add(comp)
                 return MutationOutcome(mutation, "rejected", detail=str(exc))
             except BudgetExceeded:
                 self._state.pop_customer()
+                self._dirty.add(comp)
                 raise
             handle = self._register(node, row)
         self._comp_active[comp] = self._comp_active.get(comp, 0) + 1
@@ -431,20 +439,22 @@ class ServeEngine:
         if new_cap == old_cap:
             return MutationOutcome(mutation, "applied")
         comp = int(self._labels[fnode])
+        # Every cut is checked: one of unused headroom can still strand
+        # another facility's pending overflow.
+        if new_cap < old_cap and (
+            self._comp_active.get(comp, 0)
+            > self._comp_capacity[comp] - old_cap + new_cap
+        ):
+            return MutationOutcome(
+                mutation,
+                "rejected",
+                detail=(
+                    f"cutting facility node {fnode} to capacity "
+                    f"{new_cap} would strand customers in its component"
+                ),
+            )
         load = self._state.load(pos)
         if new_cap < load:
-            if (
-                self._comp_active.get(comp, 0)
-                > self._comp_capacity[comp] - old_cap + new_cap
-            ):
-                return MutationOutcome(
-                    mutation,
-                    "rejected",
-                    detail=(
-                        f"cutting facility node {fnode} to capacity "
-                        f"{new_cap} would strand customers in its component"
-                    ),
-                )
             # Evicting the overflow is mandatory feasibility work.
             self._over_capacity.add(comp)
             self._dirty.add(comp)

@@ -12,6 +12,7 @@ import pytest
 from repro.core.instance import MCFSInstance
 from repro.errors import GraphError
 from repro.flow.bipartite import _FilteredCursor
+from repro.network.ch import CHFacilityStream
 from repro.network.dijkstra import DijkstraResult
 from repro.network.graph import Network
 from repro.network.incremental import (
@@ -19,7 +20,6 @@ from repro.network.incremental import (
     StreamCursor,
     StreamPool,
 )
-from repro.network.oracle import FacilityStream
 from repro.obs import metrics
 
 
@@ -178,7 +178,7 @@ def reference_dijkstra(
 
 
 def frontier_bound_probe(
-    stream: NearestFacilityStream | FacilityStream,
+    stream: NearestFacilityStream | CHFacilityStream,
 ) -> tuple[Callable[[], float], Callable[[], tuple[int, float] | None]]:
     """``(bound, take)`` for a stream's own ``frontier_lower_bound``."""
     return stream.frontier_lower_bound, StreamCursor(stream).take

@@ -12,7 +12,6 @@ from repro.network.incremental import (
     StreamCursor,
     StreamPool,
 )
-from repro.network.oracle import AltOracle, OracleFacilityStream
 from repro.runtime import budget
 from tests.conftest import build_line_network, build_random_network
 
@@ -25,9 +24,6 @@ def make_stream(kind):
     network = _RESUME_NETWORK
     if kind == "kernel":
         return NearestFacilityStream(network, 7, _RESUME_FACILITIES)
-    if kind == "alt":
-        oracle = AltOracle.build(network, n_landmarks=4)
-        return OracleFacilityStream(oracle, 7, _RESUME_FACILITIES)
     hierarchy = ContractionHierarchy.build(network)
     return CHFacilityStream(hierarchy, 7, _RESUME_FACILITIES)
 
@@ -186,7 +182,7 @@ class TestFilteredCursor:
         state = BipartiteState(g, [1], [9], [1], pool=pool)
         assert state.next_candidate_distance(0) == pytest.approx(8.0)
 
-    @pytest.mark.parametrize("kind", ["kernel", "alt", "ch"])
+    @pytest.mark.parametrize("kind", ["kernel", "ch"])
     def test_one_resume_matches_per_candidate_peeks(self, kind):
         order = StreamCursor(make_stream(kind)).drain()
         allowed = frozenset({order[6][0], order[9][0]})
@@ -213,7 +209,7 @@ class TestFilteredCursor:
 
 
 class TestBudgetExpiryMidStream:
-    @pytest.mark.parametrize("kind", ["kernel", "alt", "ch"])
+    @pytest.mark.parametrize("kind", ["kernel", "ch"])
     def test_stream_stays_whole_after_any_expiry(self, kind):
         # A deadline may expire at any checkpoint of a drain, including
         # inside an oracle stream's re-fold; a later drain of the same

@@ -16,7 +16,6 @@ from repro.bench.robustness import drift_study
 from repro.core.validation import validate_solution
 from repro.errors import BudgetExceeded, SolverError
 from repro.network.ch import ContractionHierarchy
-from repro.network.oracle import AltOracle
 from repro.network.parallel import ParallelDistanceEngine
 from repro.runtime import (
     Budget,
@@ -38,41 +37,16 @@ def network():
 
 
 @pytest.fixture(scope="module")
-def oracle_blob(network, tmp_path_factory):
-    path = tmp_path_factory.mktemp("blobs") / "alt.npz"
-    AltOracle.build(network, n_landmarks=3, seed=0).save(str(path))
-    return str(path)
-
-
-@pytest.fixture(scope="module")
 def ch_blob(network, tmp_path_factory):
     path = tmp_path_factory.mktemp("blobs") / "ch.npz"
     ContractionHierarchy.build(network).save(str(path))
     return str(path)
 
 
-class TestOracleLoad:
-    def test_expired_budget_propagates(self, network, oracle_blob):
-        # The injected delay makes the very first checkpoint blow the
-        # budget: load must raise, not fall back to "rebuild".
-        plan = FaultPlan(dijkstra_delay_sec=0.1)
-        with use_faults(plan), budget_mod.use(Budget(0.05)):
-            with pytest.raises(BudgetExceeded):
-                AltOracle.load(oracle_blob, network)
-
-    def test_corrupt_blob_still_returns_none(self, network, tmp_path):
-        bad = tmp_path / "alt.npz"
-        bad.write_bytes(b"not an npz archive")
-        assert AltOracle.load(str(bad), network) is None
-
-    def test_unbudgeted_load_roundtrips(self, network, oracle_blob):
-        oracle = AltOracle.load(oracle_blob, network)
-        assert oracle is not None
-        assert oracle.fingerprint == network.fingerprint
-
-
 class TestHierarchyLoad:
     def test_expired_budget_propagates(self, network, ch_blob):
+        # The injected delay makes the very first checkpoint blow the
+        # budget: load must raise, not fall back to "rebuild".
         plan = FaultPlan(dijkstra_delay_sec=0.1)
         with use_faults(plan), budget_mod.use(Budget(0.05)):
             with pytest.raises(BudgetExceeded):

@@ -1,10 +1,10 @@
 """Contraction-hierarchy correctness: CH results must be bit-identical.
 
-The CH tier's contract is the same as the ALT oracle's and the distance
-cache's: every observable output -- point-to-point queries, many-to-many
-``distance_block`` entries, facility-stream emission order -- must be
-*bit-identical* to the kernel Dijkstra path, because solvers compare and
-accumulate these floats and a one-ulp divergence changes tie-breaking.
+Every observable output of the CH tier -- point-to-point queries,
+many-to-many ``distance_block`` entries, facility-stream emission order
+-- must be *bit-identical* to the kernel Dijkstra path, because solvers
+compare and accumulate these floats and a one-ulp divergence changes
+tie-breaking.
 The property suite drives randomized directed, disconnected, and
 parallel-edge graphs (zero-weight edges are rejected by ``Network``
 itself, pinned below) against :class:`DijkstraWorkspace` ground truth;
@@ -209,13 +209,9 @@ class TestBitIdentityProperties:
         block = hierarchy.distance_block(groups, targets)
         assert np.array_equal(block, expected)
 
-    def test_alt_matches_kernel_on_float_association_tie(self):
-        expected = float(_kernel_matrix(_FLOAT_TIE)[7, 4])
-        assert expected == 1.0999999999999999
-        assert oracle_mod.AltOracle.build(_FLOAT_TIE).query(7, 4) == expected
-
     def test_query_matches_kernel_on_float_association_tie(self):
         expected = float(_kernel_matrix(_FLOAT_TIE)[7, 4])
+        assert expected == 1.0999999999999999
         hierarchy = ContractionHierarchy.build(_FLOAT_TIE)
         assert hierarchy.query(7, 4) == expected
 
@@ -500,9 +496,8 @@ class TestScopeIntegration:
         network = build_random_network(20, seed=0)
         resolved = oracle_mod.resolve("ch", network)
         assert isinstance(resolved, ContractionHierarchy)
-        # Memoized per (network, kind); the ALT kind is independent.
+        # Memoized per network.
         assert oracle_mod.resolve("ch", network) is resolved
-        assert oracle_mod.resolve("alt", network) is not resolved
 
     def test_env_knob_accepts_ch(self, monkeypatch):
         monkeypatch.setenv(oracle_mod.ORACLE_ENV_VAR, "ch")
@@ -510,13 +505,6 @@ class TestScopeIntegration:
         assert isinstance(
             oracle_mod.resolve(None, network), ContractionHierarchy
         )
-
-    def test_active_ch_for_ignores_alt_scope(self):
-        network = build_random_network(20, seed=0)
-        alt = oracle_mod.AltOracle.build(network, n_landmarks=2)
-        with oracle_mod.use(alt):
-            assert oracle_mod.active_ch_for(network) is None
-            assert oracle_mod.active_for(network) is alt
 
     def test_kernel_matrix_hook_uses_buckets(self):
         network = build_random_network(40, seed=3)
@@ -548,7 +536,7 @@ class TestScopeIntegration:
     def test_stream_rejects_facility_outside_network(self, bad):
         hierarchy = ContractionHierarchy.build(_CHAIN)
         with pytest.raises(GraphError, match=f"node {bad} outside 0..3"):
-            hierarchy.make_stream(0, [bad, 3])
+            CHFacilityStream(hierarchy, 0, [bad, 3])
 
     def test_two_component_matrix(self):
         network = build_two_component_network()

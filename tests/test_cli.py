@@ -169,13 +169,13 @@ class TestOracleCommand:
     def test_build_then_up_to_date(self, tmp_path, capsys):
         cache = str(tmp_path / "blobs")
         argv = [
-            "oracle", "build", "--instance-kind", "uniform", "--n", "64",
-            "--landmarks", "4", "--cache-dir", cache,
+            "oracle", "build", "--kind", "uniform", "--n", "64",
+            "--cache-dir", cache,
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
-        assert "4 landmarks" in out
+        assert "shortcuts, 64 nodes" in out
         # Second build finds the fingerprint-keyed blob and skips work.
         assert main(argv) == 0
         assert "up to date" in capsys.readouterr().out
@@ -183,22 +183,18 @@ class TestOracleCommand:
     def test_build_from_instance_file(self, instance_file, tmp_path, capsys):
         cache = str(tmp_path / "blobs")
         code = main(
-            ["oracle", "build", instance_file, "--landmarks", "3",
-             "--cache-dir", cache]
+            ["oracle", "build", instance_file, "--cache-dir", cache]
         )
         assert code == 0
         assert "wrote" in capsys.readouterr().out
 
     def test_info_reports_cache_status(self, tmp_path, capsys):
         cache = str(tmp_path / "blobs")
-        base = [
-            "--instance-kind", "uniform", "--n", "64", "--landmarks", "4",
-            "--cache-dir", cache,
-        ]
+        base = ["--kind", "uniform", "--n", "64", "--cache-dir", cache]
         assert main(["oracle", "info", *base]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cached"] is False
-        assert doc["n_landmarks"] == 4
+        assert doc["n_nodes"] == 64
         assert main(["oracle", "build", *base]) == 0
         capsys.readouterr()
         assert main(["oracle", "info", *base]) == 0
@@ -208,10 +204,7 @@ class TestOracleCommand:
 
     def test_build_and_info_ch_kind(self, tmp_path, capsys):
         cache = str(tmp_path / "blobs")
-        base = [
-            "--kind", "ch", "--instance-kind", "uniform", "--n", "64",
-            "--cache-dir", cache,
-        ]
+        base = ["--kind", "clustered", "--n", "64", "--cache-dir", cache]
         assert main(["oracle", "build", *base]) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
@@ -229,9 +222,8 @@ class TestOracleCommand:
     def test_info_writes_output_file(self, tmp_path, capsys):
         out = str(tmp_path / "info.json")
         code = main(
-            ["oracle", "info", "--instance-kind", "uniform", "--n", "64",
-             "--landmarks", "2", "--cache-dir", str(tmp_path / "b"),
-             "-o", out]
+            ["oracle", "info", "--kind", "uniform", "--n", "64",
+             "--cache-dir", str(tmp_path / "b"), "-o", out]
         )
         assert code == 0
         doc = json.loads(open(out).read())
@@ -240,20 +232,12 @@ class TestOracleCommand:
 
 
 class TestProfileOracleFlag:
-    def test_profile_oracle_alt_and_off(self, tmp_path):
-        base = [
-            "profile", "--kind", "uniform", "--n", "64", "--seed", "1",
-            "--method", "wma",
-        ]
-        alt_path = tmp_path / "alt.json"
-        off_path = tmp_path / "off.json"
-        assert main(base + ["--oracle", "alt", "-o", str(alt_path)]) == 0
-        assert main(base + ["--oracle", "off", "-o", str(off_path)]) == 0
-        alt = json.loads(alt_path.read_text())
-        off = json.loads(off_path.read_text())
-        assert alt["objective"] == off["objective"]
-        assert alt["metrics"]["oracle.queries"] > 0
-        assert off["metrics"]["oracle.queries"] == 0
+    def test_profile_oracle_alt_is_rejected(self, capsys):
+        argv = ["profile", "--kind", "uniform", "--n", "64", "--oracle", "alt"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'alt'" in capsys.readouterr().err
 
     def test_profile_oracle_ch_matches_kernel(self, tmp_path):
         base = [

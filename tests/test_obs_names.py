@@ -40,8 +40,6 @@ GOLDEN_COUNTERS = [
     "oracle.cache_misses",
     "oracle.prunes",
     "oracle.queries",
-    "oracle.query_pops",
-    "oracle.query_relaxations",
     "oracle.streams",
     "parallel.fallbacks",
     "parallel.tasks",

@@ -269,7 +269,7 @@ class TestFallbackRuntime:
     def test_fallback_attempts_keep_the_oracle(self, instance):
         # Every universal option but time_limit reaches each attempt, so
         # the chain solves on oracle streams, not kernel ones.
-        opts = SolverOptions(oracle="alt")
+        opts = SolverOptions(oracle="ch")
         reg = metrics.Registry()
         with metrics.use(reg):
             result = solve_with_fallback(instance, ["wma"], options=opts)

@@ -61,6 +61,18 @@ def grid_instance(customers=(6, 18), capacities=(3, 3, 3)) -> MCFSInstance:
     )
 
 
+def path_engine(n: int, capacities, customers) -> ServeEngine:
+    """An engine on a path of ``n`` unit edges, facilities at both ends."""
+    inst = MCFSInstance(
+        network=build_line_network(n),
+        customers=customers,
+        facility_nodes=(0, n - 1),
+        capacities=capacities,
+        k=2,
+    )
+    return ServeEngine(inst, [0, 1])
+
+
 def cold_cost(engine: ServeEngine) -> float:
     """A cold re-solve of the engine's current end state."""
     nodes = engine.customer_nodes()
@@ -235,6 +247,18 @@ class TestEngineArrivals:
         assert engine.n_active == 2
         assert engine.staleness == "optimal"
         assert engine.cost == cold_cost(engine)
+
+    def test_rejected_arrival_reveals_nothing(self):
+        # Both facilities are full, so the arrival is rejected before any
+        # search: the rows keep their single edges, the cold replay's.
+        engine = path_engine(6, (1, 1), (1, 4))
+        result = engine.apply([CustomerArrive(2)])
+        assert result.rejected == 1
+        assert result.staleness == "optimal"
+        rows = [engine._row_of_handle[h] for h in engine.handles()]
+        assert [list(engine._state.edges[r]) for r in rows] == [[0], [1]]
+        assert engine.cost == cold_cost(engine) == 2.0
+        TestServeMatchesColdReplay.assert_cold_replay(engine, [0, 1])
 
     def test_arrival_outside_network_rejected(self):
         engine = ServeEngine(grid_instance(), [0, 1, 2])
@@ -505,6 +529,35 @@ class TestEngineCapacity:
         assert loads[0] <= 1
         assert engine.cost == cold_cost(engine)
         assert engine.staleness == "optimal"
+
+    def test_arrival_after_cut_waits_for_the_eviction(self):
+        # The cut leaves node 10's facility one seat over its load; the
+        # component is then full, so the second arrival is rejected
+        # instead of taking node 0's seat, which the eviction needs.
+        engine = path_engine(11, (1, 4), (10, 10, 10))
+        result = engine.apply(
+            [CustomerArrive(10), CapacityChange(10, 3), CustomerArrive(10)]
+        )
+        assert [o.status for o in result.outcomes] == [
+            "applied", "applied", "rejected"
+        ]
+        assert (result.applied, result.rejected) == (2, 1)
+        assert result.staleness == "optimal"
+        assert engine.cost == cold_cost(engine) == 10.0
+        TestServeMatchesColdReplay.assert_cold_replay(engine, [0, 1])
+
+    def test_headroom_cut_cannot_strand_pending_overflow(self):
+        # Node 10's facility is cut below its load, so node 0's facility
+        # must take the overflow; cutting node 0's unused seat would
+        # strand it, and is rejected although it is above node 0's load.
+        engine = path_engine(11, (2, 1), (0, 10))
+        result = engine.apply([CapacityChange(10, 0), CapacityChange(0, 1)])
+        assert [o.status for o in result.outcomes] == ["applied", "rejected"]
+        assert "strand" in result.outcomes[1].detail
+        assert result.staleness == "optimal"
+        assert engine.selected_capacities == (2, 0)
+        assert engine.cost == cold_cost(engine) == 10.0
+        TestServeMatchesColdReplay.assert_cold_replay(engine, [0, 1])
 
     def test_stranding_decrease_rejected(self):
         inst = MCFSInstance(
@@ -800,6 +853,100 @@ class TestServeMatchesColdReplay:
                         raise AssertionError(f"case {seed}: {exc}") from exc
         assert kept > 1000
         assert repaired > 100
+
+
+class TestServeHostileDifferential:
+    """Seeded hostile batches against a cold replay.
+
+    Unlike the synthesized traces, these batches arrive into full
+    components and cut facilities to their load or one seat below it,
+    mixed with departures in one batch.  After every batch ``apply`` has
+    not raised, every mutation has an outcome, and an ``"optimal"``
+    batch is the cold replay of its customers.
+    """
+
+    CASES = 400
+    BATCHES = 12
+
+    @staticmethod
+    def hostile_case(
+        seed: int,
+    ) -> tuple[ServeEngine, list[int], np.random.Generator]:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 21))
+        weights = [
+            float(w)
+            for w in rng.choice(TestServeMatchesColdReplay.WEIGHTS, size=2 * n)
+        ]
+        # A random spanning tree plus up to n chords: connected.
+        edges = {(int(rng.integers(0, v)), v): weights[v] for v in range(1, n)}
+        for w in weights[n:n + int(rng.integers(0, n + 1))]:
+            u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            edges.setdefault((u, v), w)
+        network = Network(n, [(u, v, w) for (u, v), w in edges.items()])
+        l = int(rng.integers(2, 5))
+        facilities = [int(x) for x in rng.choice(n, l, replace=False)]
+        caps = [int(x) for x in rng.integers(1, 5, size=l)]
+        hot = [int(x) for x in rng.choice(n, max(2, n // 4), replace=False)]
+        customers = [
+            int(x) for x in rng.choice(hot, int(rng.integers(1, sum(caps) + 1)))
+        ]
+        inst = MCFSInstance(
+            network, tuple(customers), tuple(facilities), tuple(caps), k=l
+        )
+        return ServeEngine(inst, list(range(l))), hot, rng
+
+    @staticmethod
+    def hostile_batch(
+        engine: ServeEngine, hot: list[int], rng: np.random.Generator
+    ) -> list[Mutation]:
+        handles = engine.handles()
+        loads = engine.load_per_facility()
+        batch: list[Mutation] = []
+        for _ in range(int(rng.integers(1, 5))):
+            roll = rng.random()
+            if roll < 0.25 and handles:
+                handle = handles.pop(int(rng.integers(0, len(handles))))
+                batch.append(CustomerDepart(handle))
+            elif roll < 0.5:
+                pos = int(rng.integers(0, len(engine.selected_nodes)))
+                load = loads[pos]
+                cut = max(0, load - int(rng.integers(0, 2)))
+                batch.append(CapacityChange(engine.selected_nodes[pos], cut))
+            else:
+                batch.append(CustomerArrive(hot[int(rng.integers(0, len(hot)))]))
+        return batch
+
+    def test_hostile_batches_match_cold_replay(self):
+        rejected = optimal = 0
+        for seed in range(self.CASES):
+            engine, hot, rng = self.hostile_case(seed)
+            selected = list(range(len(engine.selected_nodes)))
+            for step in range(self.BATCHES):
+                batch = self.hostile_batch(engine, hot, rng)
+                where = f"case {seed}, batch {step}: {batch}"
+                try:
+                    result = engine.apply(batch)
+                except Exception as exc:
+                    raise AssertionError(f"{where} raised {exc!r}") from exc
+                assert len(result.outcomes) == len(batch), where
+                assert (
+                    result.applied + result.rejected + result.shed == len(batch)
+                ), where
+                rejected += result.rejected
+                if result.staleness != "optimal":
+                    continue
+                optimal += 1
+                if engine.n_active:
+                    try:
+                        TestServeMatchesColdReplay.assert_cold_replay(
+                            engine, selected
+                        )
+                    except AssertionError as exc:
+                        raise AssertionError(f"{where}: {exc}") from exc
+        # The batches did reach full components and stranding cuts.
+        assert rejected > self.CASES
+        assert optimal == self.CASES * self.BATCHES
 
 
 class TestServeCLI:

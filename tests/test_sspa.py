@@ -543,7 +543,7 @@ class TestFirstRevealPairs:
     """``find_pair`` with its first-reveal step equals the general loop.
 
     The WMA cases go through :func:`repro.solve`, so an oracle scope set
-    by ``REPRO_ORACLE`` covers their ALT or CH streams too.
+    by ``REPRO_ORACLE`` covers their CH streams too.
     """
 
     def test_wma_uniform(self, checked_pairs):
